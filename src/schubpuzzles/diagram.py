@@ -6,9 +6,12 @@ trivalent vertices split each blue strand into a green one (exiting
 northwest) and a red one (exiting northeast or bouncing off the east
 wall), and crossings carry R-matrices whose argument is the difference of
 the two lower spectral parameters.  Evaluating the diagram contracts the
-vertex matrices in construction order; enumerating its labelings lists
-the puzzles themselves, each with its fugacity (the product of the chosen
-matrix entries).
+vertex matrices from whichever boundary is pinned: forward in construction
+order from the south (input) boundary, or in reverse from the north
+(output) boundary, so one pass yields every entry with that boundary.  The
+same pass counts the labelings behind each entry.  Enumerating the
+labelings lists the puzzles themselves, each with its fugacity (the
+product of the chosen matrix entries).
 
 Three families are built here:
 
@@ -44,6 +47,7 @@ class Vertex:
     in_edges: tuple[int, ...]
     out_edges: tuple[int, ...]
     label: str
+    position: int  # frontier position of in_edges[0] when the vertex was added
 
 
 @dataclass
@@ -53,7 +57,7 @@ class ScatteringDiagram:
     vertices: list[Vertex]  # topological order: inputs of each vertex exist before it
     input_edges: tuple[int, ...]
     output_edges: tuple[int, ...]
-    _transfer_cache: dict = field(default_factory=dict, repr=False)
+    _transfer_cache: dict = field(default_factory=dict, repr=False)  # (reverse, boundary) -> Column
 
     @property
     def n_inputs(self) -> int:
@@ -94,11 +98,12 @@ class _Builder:
     def split(self, pos: int) -> tuple[int, int]:
         """Trivalent vertex at frontier position pos: blue -> green, red."""
         e_in = self.edges[self.frontier[pos]]
-        assert e_in.colour == "B"
+        if e_in.colour != "B":
+            raise ValueError("only blue strands split")
         green = self._new_edge("G", e_in.parameter)
         red = self._new_edge("R", e_in.parameter)
         self.vertices.append(
-            Vertex("trivalent", u_split(), (e_in.ident,), (green, red), f"U({e_in.parameter})")
+            Vertex("trivalent", u_split(), (e_in.ident,), (green, red), f"U({e_in.parameter})", pos)
         )
         self.frontier[pos : pos + 1] = [green, red]
         return green, red
@@ -119,7 +124,7 @@ class _Builder:
         new_left = self._new_edge(right.colour, right.parameter)
         new_right = self._new_edge(left.colour, left.parameter)
         self.vertices.append(
-            Vertex("crossing", matrix, (left.ident, right.ident), (new_left, new_right), tag)
+            Vertex("crossing", matrix, (left.ident, right.ident), (new_left, new_right), tag, pos)
         )
         self.frontier[pos : pos + 2] = [new_left, new_right]
         return new_left, new_right
@@ -134,7 +139,7 @@ class _Builder:
         else:
             raise ValueError("only red and blue strands bounce")
         out = self._new_edge(out_colour, -e_in.parameter)
-        self.vertices.append(Vertex("bounce", matrix, (e_in.ident,), (out,), tag))
+        self.vertices.append(Vertex("bounce", matrix, (e_in.ident,), (out,), tag, pos))
         self.frontier[pos] = out
         return out
 
@@ -151,16 +156,17 @@ class _Builder:
         )
 
 
-def build_triangle_diagram(n: int) -> ScatteringDiagram:
-    """The size-n triangle: n blue inputs y_1..y_n, a trivalent split on
-    each, and a red-green crossing R_RG(y_i - y_j) for every pair i < j.
+def _require(ok: bool, what: str) -> None:
+    """Raise if a builder broke one of its own layout invariants."""
+    if not ok:
+        raise RuntimeError(f"diagram construction: {what}")
 
-    Output edges, in frontier order, are the n greens (northwest side read
-    bottom to top) followed by the n reds (northeast side read top to
-    bottom)."""
-    if n < 1:
-        raise ValueError("triangle size must be at least 1")
-    b = _Builder(f"triangle({n})")
+
+def _triangle_builder(name: str, n: int):
+    """n blue inputs y_1..y_n, a trivalent split on each, and a red-green
+    crossing R_RG(y_i - y_j) for every pair i < j; returns the builder and
+    the green and red edge of each strand."""
+    b = _Builder(name)
     for i in range(1, n + 1):
         b.add_input("B", y(i))
     greens: dict[int, int] = {}
@@ -172,11 +178,24 @@ def build_triangle_diagram(n: int) -> ScatteringDiagram:
         for i in range(1, n - h + 1):
             j = i + h
             pos = b.position_of(reds[i])
-            assert b.frontier[pos + 1] == greens[j]
+            _require(b.frontier[pos + 1] == greens[j], f"red {i} does not meet green {j}")
             greens[j], reds[i] = b.cross(pos)
+    return b, greens, reds
+
+
+def build_triangle_diagram(n: int) -> ScatteringDiagram:
+    """The size-n triangle: n blue inputs y_1..y_n, a trivalent split on
+    each, and a red-green crossing R_RG(y_i - y_j) for every pair i < j.
+
+    Output edges, in frontier order, are the n greens (northwest side read
+    bottom to top) followed by the n reds (northeast side read top to
+    bottom)."""
+    if n < 1:
+        raise ValueError("triangle size must be at least 1")
+    b, greens, reds = _triangle_builder(f"triangle({n})", n)
     diagram = b.finish()
     expected = [greens[j] for j in range(1, n + 1)] + [reds[i] for i in range(1, n + 1)]
-    assert list(diagram.output_edges) == expected
+    _require(list(diagram.output_edges) == expected, "triangle outputs out of order")
     return diagram
 
 
@@ -190,31 +209,19 @@ def build_half_diagram(n: int) -> ScatteringDiagram:
     parameters y_1, .., y_n, -y_n, .., -y_1."""
     if n < 1:
         raise ValueError("half-diagram size must be at least 1")
-    b = _Builder(f"half({n})")
-    for i in range(1, n + 1):
-        b.add_input("B", y(i))
-    greens: dict[int, int] = {}
-    reds: dict[int, int] = {}
-    for i in range(1, n + 1):
-        greens[i], reds[i] = b.split(2 * (i - 1))
-    for h in range(1, n):
-        for i in range(1, n - h + 1):
-            j = i + h
-            pos = b.position_of(reds[i])
-            assert b.frontier[pos + 1] == greens[j]
-            greens[j], reds[i] = b.cross(pos)
+    b, greens, reds = _triangle_builder(f"half({n})", n)
     bounced: dict[int, int] = {}
     for i in range(n, 0, -1):
         pos = b.position_of(reds[i])
-        assert pos == len(b.frontier) - 1
+        _require(pos == len(b.frontier) - 1, f"red {i} does not reach the wall")
         bounced[i] = b.bounce(pos)
         for t in range(i - 1, 0, -1):
             pos = b.position_of(bounced[i])
-            assert b.frontier[pos - 1] == reds[t]
+            _require(b.frontier[pos - 1] == reds[t], f"bounced {i} does not meet red {t}")
             bounced[i], reds[t] = b.cross(pos - 1)
     diagram = b.finish()
     expected = [greens[j] for j in range(1, n + 1)] + [bounced[i] for i in range(n, 0, -1)]
-    assert list(diagram.output_edges) == expected
+    _require(list(diagram.output_edges) == expected, "half-diagram outputs out of order")
     return diagram
 
 
@@ -251,53 +258,65 @@ def build_wiring_diagram(word, group_type: str, m: int) -> ScatteringDiagram:
         else:
             b.cross(q - 1)
     diagram = b.finish()
-    assert diagram.output_parameters() == [y(i) for i in range(1, m + 1)]
+    _require(diagram.output_parameters() == [y(i) for i in range(1, m + 1)],
+             "wiring outputs do not carry y_1..y_m")
     return diagram
 
 
 # -- evaluation ----------------------------------------------------------
 
-def _vertex_schedule(diagram: ScatteringDiagram):
-    """Frontier position of each vertex, replayed from the construction."""
-    live = list(diagram.input_edges)
-    schedule = []
-    for v in diagram.vertices:
-        pos = live.index(v.in_edges[0])
-        assert tuple(live[pos : pos + len(v.in_edges)]) == v.in_edges
-        schedule.append(pos)
-        live[pos : pos + len(v.in_edges)] = list(v.out_edges)
-    assert tuple(live) == diagram.output_edges
-    return schedule
+_ONE = Polynomial.integer(1)
 
 
-def transfer(diagram: ScatteringDiagram, in_labels) -> dict[tuple[Label, ...], Polynomial]:
-    """All output-boundary entries for a fixed input boundary, by sparse
-    contraction of the vertex matrices in construction order."""
-    key = tuple(in_labels)
-    if len(key) != diagram.n_inputs:
-        raise ValueError(
-            f"input boundary has {len(key)} labels, diagram wants {diagram.n_inputs}"
-        )
-    cached = diagram._transfer_cache.get(key)
+class Column(dict):
+    """The nonzero entries of one contraction: free boundary -> polynomial.
+
+    `counts` maps every free boundary that some labeling reaches, including
+    those whose fugacities cancel to zero, to its number of labelings."""
+
+    __slots__ = ("counts",)
+
+
+def transfer(diagram: ScatteringDiagram, boundary, reverse: bool = False) -> Column:
+    """All boundary-map entries with one boundary pinned, in one pass.
+
+    Forward (the default) pins the input boundary and contracts the vertex
+    matrices in construction order through their `by_input` index, giving
+    output boundary -> polynomial.  `reverse` pins the output boundary and
+    contracts in the opposite order through `by_output`, giving input
+    boundary -> polynomial.  A frontier state carries (polynomial, number of
+    labelings) and exists exactly when some partial labeling reaches it, so
+    the counts are exact; a unit matrix entry only relabels the state."""
+    key = tuple(boundary)
+    pinned = diagram.n_outputs if reverse else diagram.n_inputs
+    if len(key) != pinned:
+        side = "output" if reverse else "input"
+        raise ValueError(f"{side} boundary has {len(key)} labels, diagram wants {pinned}")
+    cached = diagram._transfer_cache.get((reverse, key))
     if cached is not None:
         return cached
-    states: dict[tuple[Label, ...], Polynomial] = {key: Polynomial.integer(1)}
-    for v, pos in zip(diagram.vertices, _vertex_schedule(diagram)):
-        arity = len(v.in_edges)
-        by_input = v.matrix.by_input()
-        new_states: dict[tuple[Label, ...], Polynomial] = {}
-        for state, coeff in states.items():
-            sub = state[pos : pos + arity]
-            for out, weight in by_input.get(sub, ()):
-                new_state = state[:pos] + out + state[pos + arity :]
-                w = coeff * weight
+    states: dict[tuple[Label, ...], tuple[Polynomial, int]] = {key: (_ONE, 1)}
+    for v in reversed(diagram.vertices) if reverse else diagram.vertices:
+        if reverse:
+            index, arity = v.matrix.by_output(), len(v.out_edges)
+        else:
+            index, arity = v.matrix.by_input(), len(v.in_edges)
+        pos, end = v.position, v.position + arity
+        new_states: dict[tuple[Label, ...], tuple[Polynomial, int]] = {}
+        for state, (coeff, count) in states.items():
+            for labels, weight in index.get(state[pos:end], ()):
+                new_state = state[:pos] + labels + state[end:]
+                w = coeff if weight == _ONE else coeff * weight
                 if new_state in new_states:
-                    new_states[new_state] = new_states[new_state] + w
+                    old, old_count = new_states[new_state]
+                    new_states[new_state] = (old + w, old_count + count)
                 else:
-                    new_states[new_state] = w
-        states = {s: c for s, c in new_states.items() if not c.is_zero}
-    diagram._transfer_cache[key] = states
-    return states
+                    new_states[new_state] = (w, count)
+        states = new_states
+    column = Column((s, p) for s, (p, _) in states.items() if not p.is_zero)
+    column.counts = {s: c for s, (_, c) in states.items()}
+    diagram._transfer_cache[(reverse, key)] = column
+    return column
 
 
 def evaluate_entry(diagram: ScatteringDiagram, out_labels, in_labels) -> Polynomial:

@@ -9,7 +9,6 @@ written as the digit '2' so that strings stay one column per letter.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -140,16 +139,30 @@ class LabelString:
         return f"LabelString({self.compact()!r})"
 
 
+def _words(content: tuple[int, int, int]) -> Iterator[tuple[Label, ...]]:
+    """The distinct arrangements of content[x] copies of each letter x, in
+    0 < 10 < 1 lex order: each word is the next permutation of the last."""
+    word = [x for x in (Label.ZERO, Label.TEN, Label.ONE) for _ in range(content[x])]
+    while True:
+        yield tuple(word)
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(word) - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1 :] = reversed(word[i + 1 :])
+
+
 def strings_with_content(length: int, content: tuple[int, int, int]) -> list[LabelString]:
     """All words of the given length and content, in 0 < 10 < 1 lex order."""
     n0, n10, n1 = content
     if n0 + n10 + n1 != length or min(content) < 0:
         raise ValueError(f"content {content} does not fit length {length}")
-    out = []
-    for word in itertools.product((Label.ZERO, Label.TEN, Label.ONE), repeat=length):
-        if word.count(Label.ZERO) == n0 and word.count(Label.TEN) == n10:
-            out.append(LabelString(word))
-    return out
+    return [LabelString(word) for word in _words(content)]
 
 
 def spgr_strings(k: int, n: int) -> list[LabelString]:
@@ -157,11 +170,7 @@ def spgr_strings(k: int, n: int) -> list[LabelString]:
     n-k letters 10, the rest any mix of 0s and 1s.  Lex order, 0 < 10 < 1."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    out = []
-    for word in itertools.product((Label.ZERO, Label.TEN, Label.ONE), repeat=n):
-        if word.count(Label.TEN) == n - k:
-            out.append(LabelString(word))
-    return out
+    return sorted(s for n0 in range(k + 1) for s in strings_with_content(n, (n0, n - k, k - n0)))
 
 
 def project_flag_string(s: LabelString, which: str) -> LabelString:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagram import build_half_diagram, build_triangle_diagram, enumerate_labelings, transfer
-from .labels import Fl, Gr, Label, LabelString, SpGr, project_flag_string, spgr_strings
+from .labels import Fl, Gr, LabelString, SpGr, project_flag_string
 from .poly import Polynomial, y
 from .weyl import positive_roots, restriction
 
@@ -89,15 +89,17 @@ def _half(n: int):
     return build_half_diagram(n)
 
 
-@lru_cache(maxsize=None)
-def _triangle_column(n: int, nu: LabelString) -> dict:
-    """All (northwest+northeast, nu) triangle entries for a fixed south side."""
-    return transfer(_triangle(n), nu.labels)
-
-
-@lru_cache(maxsize=None)
-def _half_column(n: int, nu: LabelString) -> dict:
-    return transfer(_half(n), nu.labels)
+def _expansion(space, column: dict) -> ExpansionResult:
+    """The nonzero entries of a reverse `transfer` column at the strings of
+    space, with their puzzle counts."""
+    terms: dict[LabelString, Polynomial] = {}
+    counts: dict[LabelString, int] = {}
+    for nu in space.strings():
+        coeff = column.get(nu.labels)
+        if coeff is not None:
+            terms[nu] = coeff
+            counts[nu] = column.counts[nu.labels]
+    return ExpansionResult(space, terms, counts)
 
 
 def _binary_content(s: LabelString, n: int, what: str) -> int:
@@ -111,43 +113,27 @@ def two_step_product(lam: LabelString, mu: LabelString, n: int) -> ExpansionResu
     """Product of the pullbacks of two Grassmannian classes on the two-step
     flag manifold, expanded by triangle puzzles with 10s allowed on the
     south side.  Coefficient of nu = sum of fugacities over puzzles with
-    lam on the northwest, mu on the northeast and nu on the south."""
+    lam on the northwest, mu on the northeast and nu on the south.  One
+    reverse contraction from the north side lam+mu, cached on the diagram,
+    yields every nu with its coefficient and its puzzle count."""
     j = _binary_content(lam, n, "lambda")
     k = _binary_content(mu, n, "mu")
     if j > k:
         raise ValueError(f"lambda has {j} zeros but mu has {k}; need #0(lambda) <= #0(mu)")
-    space = Fl(j, k, n)
-    out_key = (lam + mu).labels
-    terms: dict[LabelString, Polynomial] = {}
-    counts: dict[LabelString, int] = {}
-    for nu in space.strings():
-        coeff = _triangle_column(n, nu).get(out_key, Polynomial.zero())
-        if coeff.is_zero:
-            continue
-        terms[nu] = coeff
-        counts[nu] = len(enumerate_labelings(_triangle(n), out_labels=lam + mu, in_labels=nu))
-    return ExpansionResult(space, terms, counts)
+    return _expansion(Fl(j, k, n), transfer(_triangle(n), (lam + mu).labels, reverse=True))
 
 
 def restrict_to_spgr(lam: LabelString, k: int, n: int) -> ExpansionResult:
     """Expansion of a Gr(k,2n) Schubert class restricted to the symplectic
-    Grassmannian, by half-puzzle enumeration.  Coefficient of nu is the
-    (lam, nu) entry of the half diagram."""
+    Grassmannian.  Coefficient of nu is the (lam, nu) entry of the half
+    diagram; one reverse contraction from the north side lam yields every
+    nu with its coefficient and its half-puzzle count."""
     n0, n10, n1 = lam.content()
     if (n0, n10, n1) != (k, 0, 2 * n - k):
         raise ValueError(
             f"lambda must have content 0^{k} 1^{2 * n - k}, got {lam.compact()}"
         )
-    space = SpGr(k, n)
-    terms: dict[LabelString, Polynomial] = {}
-    counts: dict[LabelString, int] = {}
-    for nu in space.strings():
-        coeff = _half_column(n, nu).get(lam.labels, Polynomial.zero())
-        if coeff.is_zero:
-            continue
-        terms[nu] = coeff
-        counts[nu] = len(enumerate_labelings(_half(n), out_labels=lam, in_labels=nu))
-    return ExpansionResult(space, terms, counts)
+    return _expansion(SpGr(k, n), transfer(_half(n), lam.labels, reverse=True))
 
 
 def half_puzzles(lam: LabelString, nu: LabelString, n: int):
@@ -196,9 +182,11 @@ def duality_check(k: int, m: int) -> Report:
     zero_out = {f"y{i}": 0 for i in range(1, m + 1)}
 
     def count(lam, mu, nu, n):
-        coeff = _triangle_column(n, nu).get((lam + mu).labels, Polynomial.zero())
+        column = transfer(_triangle(n), (lam + mu).labels, reverse=True)
+        coeff = column.get(nu.labels, Polynomial.zero())
         value = coeff.substitute(zero_out).constant_value()
-        assert value is not None
+        if value is None:
+            raise RuntimeError(f"coefficient {coeff} is not a polynomial in y1..y{n}")
         return value
 
     checked = failed = 0
@@ -232,10 +220,8 @@ def crosscheck_restriction(k: int, n: int) -> Report:
     checked = failed = 0
     first = None
     for lam in ambient.strings():
-        expansion = {
-            nu: _half_column(n, nu).get(lam.labels, Polynomial.zero())
-            for nu in target.strings()
-        }
+        column = transfer(_half(n), lam.labels, reverse=True)
+        expansion = {nu: column.get(nu.labels, Polynomial.zero()) for nu in target.strings()}
         for sigma in target.strings():
             lhs = specialize_to_half_torus(restriction(lam, sigma.double(), ambient), n)
             rhs = Polynomial.zero()
@@ -268,10 +254,8 @@ def crosscheck_product(j: int, k: int, n: int) -> Report:
     first = None
     for lam in lams:
         for mu in mus:
-            expansion = {
-                nu: _triangle_column(n, nu).get((lam + mu).labels, Polynomial.zero())
-                for nu in sigmas
-            }
+            column = transfer(_triangle(n), (lam + mu).labels, reverse=True)
+            expansion = {nu: column.get(nu.labels, Polynomial.zero()) for nu in sigmas}
             for sigma in sigmas:
                 lhs = Polynomial.zero()
                 for nu, coeff in expansion.items():

@@ -34,7 +34,7 @@ Z0, T10, O1 = Label.ZERO, Label.TEN, Label.ONE
 class SparseMap:
     """A sparse linear map between tensor powers of the 3-dimensional label space."""
 
-    __slots__ = ("out_arity", "in_arity", "entries", "_by_input")
+    __slots__ = ("out_arity", "in_arity", "entries", "_by_input", "_by_output")
 
     def __init__(self, out_arity: int, in_arity: int, entries=None):
         self.out_arity = out_arity
@@ -50,17 +50,28 @@ class SparseMap:
                     raise ValueError("entry arity mismatch")
                 self.entries[(tuple(out), tuple(inn))] = weight
         self._by_input = None
+        self._by_output = None
+
+    def _grouped(self, by_out: bool) -> dict:
+        grouped: dict = {}
+        for (out, inn), weight in self.entries.items():
+            key, other = (out, inn) if by_out else (inn, out)
+            grouped.setdefault(key, []).append((other, weight))
+        for lst in grouped.values():
+            lst.sort(key=lambda ow: ow[0])
+        return grouped
 
     def by_input(self) -> dict:
         """Entries grouped by in-tuple, each list sorted by out-tuple."""
         if self._by_input is None:
-            grouped: dict = {}
-            for (out, inn), weight in self.entries.items():
-                grouped.setdefault(inn, []).append((out, weight))
-            for lst in grouped.values():
-                lst.sort(key=lambda ow: ow[0])
-            self._by_input = grouped
+            self._by_input = self._grouped(by_out=False)
         return self._by_input
+
+    def by_output(self) -> dict:
+        """Entries grouped by out-tuple, each list sorted by in-tuple."""
+        if self._by_output is None:
+            self._by_output = self._grouped(by_out=True)
+        return self._by_output
 
     def entry(self, out, inn) -> Polynomial:
         return self.entries.get((tuple(out), tuple(inn)), Polynomial.zero())

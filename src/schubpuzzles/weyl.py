@@ -345,7 +345,8 @@ def shortest_lift(s: LabelString, omega: LabelString, group_type: str) -> GroupE
                 images[i] = targets[lab][cursor[lab]]
                 cursor[lab] += 1
         w = GroupElement("C", tuple(images))
-    assert coset_string(w, omega) == s
+    if coset_string(w, omega) != s:
+        raise RuntimeError(f"shortest lift of {s.compact()} left the coset of {omega.compact()}")
     return w
 
 

@@ -192,3 +192,58 @@ def test_wiring_ten_count_preserved():
         for inn in itertools.product((Label.ZERO, Label.TEN, Label.ONE), repeat=2):
             for out, value in transfer(d, inn).items():
                 assert out.count(Label.TEN) == inn.count(Label.TEN)
+
+
+def _oracle(diagram):
+    """Fugacity sums and labeling counts per (out, in) boundary pair."""
+    sums, counts = {}, {}
+    for lab in enumerate_labelings(diagram):
+        out, inn = lab.boundary()
+        key = (out.labels, inn.labels)
+        sums[key] = sums.get(key, Polynomial.zero()) + lab.fugacity
+        counts[key] = counts.get(key, 0) + 1
+    return {k: v for k, v in sums.items() if not v.is_zero}, counts
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    [build_half_diagram(n) for n in (1, 2, 3)] + [build_triangle_diagram(n) for n in (1, 2, 3, 4)],
+    ids=lambda d: d.name,
+)
+def test_kernel_both_directions_match_enumeration(diagram):
+    # every boundary pair, pinned from either side: the contraction gives
+    # the fugacity sum and the labeling count of the explicit enumeration
+    sums, counts = _oracle(diagram)
+    alphabet = (Label.ZERO, Label.TEN, Label.ONE)
+    for reverse, width in ((False, diagram.n_inputs), (True, diagram.n_outputs)):
+        got_sums, got_counts = {}, {}
+        for pinned in itertools.product(alphabet, repeat=width):
+            column = transfer(diagram, pinned, reverse=reverse)
+            assert set(column) <= set(column.counts)
+            for free, value in column.items():
+                got_sums[(pinned, free) if reverse else (free, pinned)] = value
+            for free, count in column.counts.items():
+                got_counts[(pinned, free) if reverse else (free, pinned)] = count
+        assert got_sums == sums
+        assert got_counts == counts
+
+
+def test_vertex_positions_replay_the_frontier():
+    for diagram in (
+        build_triangle_diagram(4),
+        build_half_diagram(3),
+        build_wiring_diagram((3, 2, 3, 1, 2, 3), "C", 3),
+    ):
+        live = list(diagram.input_edges)
+        for v in diagram.vertices:
+            end = v.position + len(v.in_edges)
+            assert tuple(live[v.position : end]) == v.in_edges
+            live[v.position : end] = v.out_edges
+        assert tuple(live) == diagram.output_edges
+
+
+def test_transfer_boundary_length_checked_on_pinned_side():
+    d = build_triangle_diagram(2)
+    with pytest.raises(ValueError, match="output boundary has 2 labels"):
+        transfer(d, parse("01"), reverse=True)
+    assert transfer(d, parse("0101"), reverse=True) == {parse("01").labels: Polynomial.integer(1)}

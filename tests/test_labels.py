@@ -103,6 +103,21 @@ def test_enumerate_content():
         strings_with_content(3, (1, 1, 2))
 
 
+def test_generated_strings_match_brute_force_filter():
+    import itertools
+
+    for length in range(0, 8):
+        words = list(itertools.product((Label.ZERO, Label.TEN, Label.ONE), repeat=length))
+        for n0 in range(length + 1):
+            for n10 in range(length + 1 - n0):
+                content = (n0, n10, length - n0 - n10)
+                expected = [LabelString(w) for w in words if LabelString(w).content() == content]
+                assert strings_with_content(length, content) == expected
+        for k in range(length + 1):
+            expected = [LabelString(w) for w in words if w.count(Label.TEN) == length - k]
+            assert spgr_strings(k, length) == expected
+
+
 def test_lex_order_alphabet():
     # the alphabet order is 0 < 10 < 1
     assert parse("02") < parse("01")

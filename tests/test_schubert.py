@@ -118,6 +118,39 @@ def test_nonequivariant_counts_weightless_puzzles():
                     assert noneq.get(nu, 0) == weightless
 
 
+def test_restrict_puzzle_counts_match_half_puzzles():
+    for n in range(1, 5):
+        for k in range(0, n + 1):
+            for lam in Gr(k, 2 * n).strings():
+                e = restrict_to_spgr(lam, k, n)
+                for nu in SpGr(k, n).strings():
+                    puzzles = half_puzzles(lam, nu, n)
+                    if nu in e.terms:
+                        assert e.puzzle_counts[nu] == len(puzzles)
+                    else:
+                        assert nu not in e.puzzle_counts
+                        assert sum((p.fugacity for p in puzzles), Polynomial.zero()).is_zero
+
+
+def test_product_puzzle_counts_match_enumeration():
+    from schubpuzzles.diagram import build_triangle_diagram
+
+    for n in range(1, 5):
+        triangle = build_triangle_diagram(n)
+        for j in range(0, n + 1):
+            for k in range(j, n + 1):
+                for lam in Gr(j, n).strings():
+                    for mu in Gr(k, n).strings():
+                        e = two_step_product(lam, mu, n)
+                        sums, counts = {}, {}
+                        for p in enumerate_labelings(triangle, out_labels=lam + mu):
+                            nu = p.boundary()[1]
+                            sums[nu] = sums.get(nu, Polynomial.zero()) + p.fugacity
+                            counts[nu] = counts.get(nu, 0) + 1
+                        assert e.terms == {nu: c for nu, c in sums.items() if not c.is_zero}
+                        assert e.puzzle_counts == {nu: counts[nu] for nu in e.terms}
+
+
 def test_nonequivariant_rejects_bad_values():
     bad = ExpansionResult(SpGr(1, 1), {parse("0"): Polynomial.integer(-1)}, {})
     with pytest.raises(RuntimeError, match="nonnegative"):
