@@ -26,11 +26,12 @@ Three families are built here:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .labels import Label, LabelString
 from .poly import Polynomial, y
-from .tensor import SparseMap, k_blue, k_red, r_red_green, r_same_colour, u_split
+from .tensor import LABELS, SparseMap, k_blue, k_red, r_red_green, r_same_colour, u_split
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class Vertex:
     matrix: SparseMap
     in_edges: tuple[int, ...]
     out_edges: tuple[int, ...]
-    label: str
     position: int  # frontier position of in_edges[0] when the vertex was added
 
 
@@ -66,9 +66,6 @@ class ScatteringDiagram:
     @property
     def n_outputs(self) -> int:
         return len(self.output_edges)
-
-    def input_parameters(self) -> list[Polynomial]:
-        return [self.edges[e].parameter for e in self.input_edges]
 
     def output_parameters(self) -> list[Polynomial]:
         return [self.edges[e].parameter for e in self.output_edges]
@@ -103,7 +100,7 @@ class _Builder:
         green = self._new_edge("G", e_in.parameter)
         red = self._new_edge("R", e_in.parameter)
         self.vertices.append(
-            Vertex("trivalent", u_split(), (e_in.ident,), (green, red), f"U({e_in.parameter})", pos)
+            Vertex("trivalent", u_split(), (e_in.ident,), (green, red), pos)
         )
         self.frontier[pos : pos + 1] = [green, red]
         return green, red
@@ -115,16 +112,14 @@ class _Builder:
         argument = left.parameter - right.parameter
         if left.colour == right.colour:
             matrix = r_same_colour(argument)
-            tag = f"R_{left.colour}{left.colour}({argument})"
         elif (left.colour, right.colour) == ("R", "G"):
             matrix = r_red_green(argument)
-            tag = f"R_RG({argument})"
         else:
             raise ValueError(f"unsupported crossing colours {left.colour}{right.colour}")
         new_left = self._new_edge(right.colour, right.parameter)
         new_right = self._new_edge(left.colour, left.parameter)
         self.vertices.append(
-            Vertex("crossing", matrix, (left.ident, right.ident), (new_left, new_right), tag, pos)
+            Vertex("crossing", matrix, (left.ident, right.ident), (new_left, new_right), pos)
         )
         self.frontier[pos : pos + 2] = [new_left, new_right]
         return new_left, new_right
@@ -133,13 +128,13 @@ class _Builder:
         """Wall bounce at frontier position pos; negates the parameter."""
         e_in = self.edges[self.frontier[pos]]
         if e_in.colour == "R":
-            matrix, out_colour, tag = k_red(e_in.parameter), "G", f"K_R({e_in.parameter})"
+            matrix, out_colour = k_red(), "G"
         elif e_in.colour == "B":
-            matrix, out_colour, tag = k_blue(e_in.parameter), "B", f"K_B({e_in.parameter})"
+            matrix, out_colour = k_blue(e_in.parameter), "B"
         else:
             raise ValueError("only red and blue strands bounce")
         out = self._new_edge(out_colour, -e_in.parameter)
-        self.vertices.append(Vertex("bounce", matrix, (e_in.ident,), (out,), tag, pos))
+        self.vertices.append(Vertex("bounce", matrix, (e_in.ident,), (out,), pos))
         self.frontier[pos] = out
         return out
 
@@ -399,10 +394,9 @@ def enumerate_labelings(
 
     results: list[Labeling] = []
     assignment: dict[int, Label] = {}
-    output_set = set(diagram.output_edges)
 
     def admissible(edge: int, lab: Label) -> bool:
-        return edge not in output_set or edge not in want_out or want_out[edge] == lab
+        return edge not in want_out or want_out[edge] == lab
 
     def assign_inputs(idx: int):
         if idx == diagram.n_inputs:
@@ -412,7 +406,7 @@ def enumerate_labelings(
         if in_key is not None:
             choices = (in_key[idx],)
         else:
-            choices = (Label.ZERO, Label.TEN, Label.ONE)
+            choices = LABELS
         for lab in choices:
             if not admissible(edge, lab):
                 continue
@@ -442,10 +436,8 @@ def enumerate_labelings(
 
 def as_sparse_map(diagram: ScatteringDiagram) -> SparseMap:
     """The diagram's full boundary-to-boundary map, entry by entry."""
-    import itertools
-
     entries = {}
-    for inn in itertools.product((Label.ZERO, Label.TEN, Label.ONE), repeat=diagram.n_inputs):
+    for inn in itertools.product(LABELS, repeat=diagram.n_inputs):
         for out, weight in transfer(diagram, inn).items():
             entries[(out, inn)] = weight
     return SparseMap(diagram.n_outputs, diagram.n_inputs, entries)

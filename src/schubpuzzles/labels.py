@@ -274,7 +274,3 @@ class Fl:
 
 Space = Gr | SpGr | Fl
 
-
-def omega(space: Space) -> LabelString:
-    """The identity-coset string of the given flag manifold."""
-    return space.omega()

@@ -253,16 +253,12 @@ class Polynomial:
 
     # -- substitution ----------------------------------------------------
 
-    def substitute(
-        self,
-        images: Mapping[str, Union["Polynomial", int]],
-        strict: bool = False,
-    ) -> "Polynomial":
+    def substitute(self, images: Mapping[str, Union["Polynomial", int]]) -> "Polynomial":
         """Apply the ring homomorphism sending each variable to its image.
 
         Images must have degree at most one (that is all the spectral-
         parameter specializations ever need).  Unmapped variables are kept
-        fixed unless ``strict`` is set, in which case they raise.
+        fixed.
         """
         prepared: dict[int, Polynomial] = {}
         for v, img in images.items():
@@ -281,8 +277,6 @@ class Polynomial:
                 if e:
                     if slot in prepared:
                         term = term * prepared[slot] ** e
-                    elif strict:
-                        raise ValueError(f"unmapped variable {_VAR_NAMES[slot]!r}")
                     else:
                         rest += e << (_SHIFT * slot)
                 remaining >>= _SHIFT
@@ -355,62 +349,6 @@ class Polynomial:
             terms[mono] = terms.get(mono, 0) + int(coeff)
         return cls(terms)
 
-    _TOKEN_RE = re.compile(r"\s*([0-9]+|[A-Za-z]+[0-9]*|\^|\*|\+|-)")
-
-    @classmethod
-    def parse(cls, text: str) -> "Polynomial":
-        """Parse the text form produced by ``str``, e.g. ``-2*y1^2*y3 + y2``."""
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = cls._TOKEN_RE.match(text, pos)
-            if not m:
-                if text[pos:].strip():
-                    raise ValueError(f"bad polynomial syntax at position {pos + 1}")
-                break
-            tokens.append(m.group(1))
-            pos = m.end()
-        if not tokens:
-            raise ValueError("empty polynomial text")
-
-        result = cls.zero()
-        i = 0
-        while i < len(tokens):
-            sign = 1
-            while i < len(tokens) and tokens[i] in "+-":
-                if tokens[i] == "-":
-                    sign = -sign
-                i += 1
-            if i >= len(tokens):
-                raise ValueError("dangling sign in polynomial text")
-            coeff = sign
-            powers: dict[str, int] = {}
-            expect_factor = True
-            while i < len(tokens) and tokens[i] not in "+-":
-                tok = tokens[i]
-                if tok == "*":
-                    i += 1
-                    expect_factor = True
-                    continue
-                if not expect_factor:
-                    raise ValueError(f"unexpected token {tok!r} in polynomial text")
-                if tok.isdigit():
-                    coeff *= int(tok)
-                    i += 1
-                else:
-                    name = tok
-                    i += 1
-                    exp = 1
-                    if i < len(tokens) and tokens[i] == "^":
-                        if i + 1 >= len(tokens) or not tokens[i + 1].isdigit():
-                            raise ValueError("expected integer exponent after '^'")
-                        exp = int(tokens[i + 1])
-                        i += 2
-                    powers[name] = powers.get(name, 0) + exp
-                expect_factor = False
-            result = result + cls.monomial(coeff, powers)
-        return result
-
     # -- exact division ---------------------------------------------------
 
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial | None":
@@ -445,10 +383,6 @@ class Polynomial:
                 else:
                     remainder.pop(mono, None)
         return Polynomial._raw(quotient)
-
-
-ZERO = Polynomial.zero()
-ONE_POLY = Polynomial.integer(1)
 
 
 def y(i: int) -> Polynomial:

@@ -21,7 +21,7 @@ With basis tuples ordered lexicographically in the alphabet order
 from __future__ import annotations
 
 import itertools
-import random
+from functools import partial
 
 from .labels import Label
 from .poly import Polynomial, u
@@ -88,15 +88,6 @@ class SparseMap:
     def __repr__(self) -> str:
         return f"SparseMap(out_arity={self.out_arity}, in_arity={self.in_arity}, {len(self.entries)} entries)"
 
-    def dump(self) -> str:
-        """Entries as `out <- in : polynomial` lines in canonical order."""
-        lines = []
-        for (out, inn) in sorted(self.entries):
-            o = ",".join(x.token for x in out)
-            i = ",".join(x.token for x in inn)
-            lines.append(f"{o} <- {i} : {self.entries[(out, inn)]}")
-        return "\n".join(lines)
-
 
 def identity_map(arity: int) -> SparseMap:
     entries = {}
@@ -119,19 +110,16 @@ def compose(f: SparseMap, g: SparseMap) -> SparseMap:
     return SparseMap(f.out_arity, g.in_arity, acc)
 
 
-def tensor_product(f: SparseMap, g: SparseMap) -> SparseMap:
-    acc = {}
-    for (fo, fi), fw in f.entries.items():
-        for (go, gi), gw in g.entries.items():
-            acc[(fo + go, fi + gi)] = fw * gw
-    return SparseMap(f.out_arity + g.out_arity, f.in_arity + g.in_arity, acc)
-
-
-def tensor_all(*maps: SparseMap) -> SparseMap:
-    result = maps[0]
-    for m in maps[1:]:
-        result = tensor_product(result, m)
-    return result
+def tensor_product(*maps: SparseMap) -> SparseMap:
+    """The tensor product of one or more maps, leftmost factor first."""
+    f = maps[0]
+    for g in maps[1:]:
+        acc = {}
+        for (fo, fi), fw in f.entries.items():
+            for (go, gi), gw in g.entries.items():
+                acc[(fo + go, fi + gi)] = fw * gw
+        f = SparseMap(f.out_arity + g.out_arity, f.in_arity + g.in_arity, acc)
+    return f
 
 
 # -- the matrices -------------------------------------------------------
@@ -175,11 +163,10 @@ def r_red_green(argument: Polynomial) -> SparseMap:
     return SparseMap(2, 2, entries)
 
 
-def k_red(a: Polynomial) -> SparseMap:
+def k_red() -> SparseMap:
     """Red strand bouncing into a green one at the wall; exchanges 0 and 1.
 
-    The entries are parameter-independent as defined; `a` is accepted for
-    interface symmetry with the other bounce.
+    The entries are parameter-independent.
     """
     return SparseMap(1, 1, {((O1,), (Z0,)): 1, ((Z0,), (O1,)): 1})
 
@@ -209,96 +196,28 @@ def u_split() -> SparseMap:
     return SparseMap(2, 1, entries)
 
 
-def r_matrix(kind: str, argument: Polynomial) -> SparseMap:
-    if kind == "same-colour":
-        return r_same_colour(argument)
-    if kind == "red-green":
-        return r_red_green(argument)
-    raise ValueError(f"unknown crossing kind {kind!r}")
-
-
-def k_matrix(kind: str, a: Polynomial) -> SparseMap:
-    if kind == "K_R":
-        return k_red(a)
-    if kind == "K_B":
-        return k_blue(a)
-    raise ValueError(f"unknown bounce kind {kind!r}")
-
-
-def u_matrix() -> SparseMap:
-    return u_split()
-
-
 # -- the identity suite --------------------------------------------------
 
-IDENTITY_NAMES = (
-    "yb-rrg",
-    "yb-ggr",
-    "yb-ggg",
-    "yb-bbb",
-    "trivalent-swap",
-    "reflection-rg",
-    "reflection-bb",
-    "k-fusion",
-)
+def _yang_baxter(top, middle, bottom) -> tuple[SparseMap, SparseMap]:
+    """Yang-Baxter for three strands with parameters u1, u2, u3.
 
-
-def _yang_baxter_mixed(lower_is_same: bool) -> tuple[SparseMap, SparseMap]:
-    """Both mixed-colour Yang-Baxter patterns.
-
-    lower_is_same=True is the pattern with one green and two red strands
-    (the bottom crossing is same-colour); False is two green, one red.
+    `top`, `middle` and `bottom` construct the crossings of the left side,
+    read top to bottom; the right side has the same crossings mirrored.
     """
     u1, u2, u3 = u(1), u(2), u(3)
     ident = identity_map(1)
-    if lower_is_same:
-        lhs = compose(
-            tensor_product(r_red_green(u2 - u1), ident),
-            compose(
-                tensor_product(ident, r_red_green(u3 - u1)),
-                tensor_product(r_same_colour(u3 - u2), ident),
-            ),
-        )
-        rhs = compose(
-            tensor_product(ident, r_same_colour(u3 - u2)),
-            compose(
-                tensor_product(r_red_green(u3 - u1), ident),
-                tensor_product(ident, r_red_green(u2 - u1)),
-            ),
-        )
-    else:
-        lhs = compose(
-            tensor_product(r_same_colour(u2 - u1), ident),
-            compose(
-                tensor_product(ident, r_red_green(u3 - u1)),
-                tensor_product(r_red_green(u3 - u2), ident),
-            ),
-        )
-        rhs = compose(
-            tensor_product(ident, r_red_green(u3 - u2)),
-            compose(
-                tensor_product(r_red_green(u3 - u1), ident),
-                tensor_product(ident, r_same_colour(u2 - u1)),
-            ),
-        )
-    return lhs, rhs
-
-
-def _yang_baxter_uniform() -> tuple[SparseMap, SparseMap]:
-    u1, u2, u3 = u(1), u(2), u(3)
-    ident = identity_map(1)
     lhs = compose(
-        tensor_product(r_same_colour(u2 - u1), ident),
+        tensor_product(top(u2 - u1), ident),
         compose(
-            tensor_product(ident, r_same_colour(u3 - u1)),
-            tensor_product(r_same_colour(u3 - u2), ident),
+            tensor_product(ident, middle(u3 - u1)),
+            tensor_product(bottom(u3 - u2), ident),
         ),
     )
     rhs = compose(
-        tensor_product(ident, r_same_colour(u3 - u2)),
+        tensor_product(ident, bottom(u3 - u2)),
         compose(
-            tensor_product(r_same_colour(u3 - u1), ident),
-            tensor_product(ident, r_same_colour(u2 - u1)),
+            tensor_product(middle(u3 - u1), ident),
+            tensor_product(ident, top(u2 - u1)),
         ),
     )
     return lhs, rhs
@@ -309,13 +228,13 @@ def _trivalent_swap(u_map: SparseMap | None = None) -> tuple[SparseMap, SparseMa
     ident = identity_map(1)
     uu = u_map if u_map is not None else u_split()
     lhs = compose(
-        tensor_all(ident, r_red_green(u1 - u2), ident),
+        tensor_product(ident, r_red_green(u1 - u2), ident),
         compose(tensor_product(uu, uu), r_same_colour(u2 - u1)),
     )
     rhs = compose(
         tensor_product(r_same_colour(u2 - u1), r_same_colour(u2 - u1)),
         compose(
-            tensor_all(ident, r_red_green(u2 - u1), ident),
+            tensor_product(ident, r_red_green(u2 - u1), ident),
             tensor_product(uu, uu),
         ),
     )
@@ -326,7 +245,7 @@ def _reflection(mixed: bool) -> tuple[SparseMap, SparseMap]:
     """Reflection at the wall; mixed=True uses K_R, else all-blue with K_B."""
     u1, u2 = u(1), u(2)
     ident = identity_map(1)
-    bounce = k_red if mixed else k_blue
+    bounce = (lambda a: k_red()) if mixed else k_blue
     wall_cross = r_red_green if mixed else r_same_colour
     lhs = compose(
         tensor_product(ident, bounce(-u2)),
@@ -349,48 +268,31 @@ def _k_fusion(u_map: SparseMap | None = None) -> tuple[SparseMap, SparseMap]:
     u1 = u(1)
     ident = identity_map(1)
     uu = u_map if u_map is not None else u_split()
-    lhs = compose(tensor_product(ident, k_red(u1)), compose(uu, k_blue(-u1)))
+    lhs = compose(tensor_product(ident, k_red()), compose(uu, k_blue(-u1)))
     rhs = compose(
         r_same_colour(Polynomial.integer(-2) * u1),
-        compose(tensor_product(ident, k_red(-u1)), uu),
+        compose(tensor_product(ident, k_red()), uu),
     )
     return lhs, rhs
 
 
-def identity_sides(which: str) -> tuple[SparseMap, SparseMap]:
-    if which == "yb-rrg":
-        return _yang_baxter_mixed(lower_is_same=True)
-    if which == "yb-ggr":
-        return _yang_baxter_mixed(lower_is_same=False)
-    if which in ("yb-ggg", "yb-bbb"):
-        return _yang_baxter_uniform()
-    if which == "trivalent-swap":
-        return _trivalent_swap()
-    if which == "reflection-rg":
-        return _reflection(mixed=True)
-    if which == "reflection-bb":
-        return _reflection(mixed=False)
-    if which == "k-fusion":
-        return _k_fusion()
-    raise ValueError(f"unknown identity {which!r}")
+# identity name -> builder of its two sides, in suite order
+_IDENTITY_SIDES = {
+    "yb-rrg": partial(_yang_baxter, r_red_green, r_red_green, r_same_colour),
+    "yb-ggr": partial(_yang_baxter, r_same_colour, r_red_green, r_red_green),
+    "yb-ggg": partial(_yang_baxter, r_same_colour, r_same_colour, r_same_colour),
+    "yb-bbb": partial(_yang_baxter, r_same_colour, r_same_colour, r_same_colour),
+    "trivalent-swap": _trivalent_swap,
+    "reflection-rg": partial(_reflection, mixed=True),
+    "reflection-bb": partial(_reflection, mixed=False),
+    "k-fusion": _k_fusion,
+}
+
+IDENTITY_NAMES = tuple(_IDENTITY_SIDES)
 
 
 def verify_identity(which: str) -> bool:
-    lhs, rhs = identity_sides(which)
+    if which not in _IDENTITY_SIDES:
+        raise ValueError(f"unknown identity {which!r}")
+    lhs, rhs = _IDENTITY_SIDES[which]()
     return lhs == rhs
-
-
-def identity_suite() -> dict[str, bool]:
-    return {name: verify_identity(name) for name in IDENTITY_NAMES}
-
-
-def random_sparse_map(rng: random.Random, out_arity: int, in_arity: int, density: float = 0.3) -> SparseMap:
-    """A random small map, for composition-law tests."""
-    entries = {}
-    for out in itertools.product(LABELS, repeat=out_arity):
-        for inn in itertools.product(LABELS, repeat=in_arity):
-            if rng.random() < density:
-                coeff = rng.randint(-3, 3)
-                if coeff:
-                    entries[(out, inn)] = Polynomial.integer(coeff)
-    return SparseMap(out_arity, in_arity, entries)

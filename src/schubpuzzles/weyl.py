@@ -5,9 +5,10 @@ Conventions (all of them are exercised against the scattering-diagram
 backend, which is the printed source of truth):
 
 * Elements are signed permutations in one-line notation; type A has no
-  signs.  ``w * v`` is the composite applying v first, so a word
-  (q_1, .., q_k) multiplies out to q_1 o q_2 o .. o q_k.  Generator i < n
-  swaps i and i+1; in type C generator n negates n.
+  signs.  ``w.right_mult(i)`` is the composite w o s_i, applying s_i
+  first, so a word (q_1, .., q_k) read left to right through
+  ``right_mult`` is q_1 o q_2 o .. o q_k.  Generator i < n swaps i and
+  i+1; in type C generator n negates n.
 * Simple roots are alpha_i = y_i - y_{i+1}, and alpha_n = 2 y_n in type
   C.  The group acts on weights by w . y_i = y_{w(i)} with y_{-j} = -y_j.
 * A coset string places omega_i at position w(i), dualized (0 <-> 1)
@@ -20,7 +21,6 @@ insists they agree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,25 +55,11 @@ class GroupElement:
         """The image of the signed index j."""
         return self.images[j - 1] if j > 0 else -self.images[-j - 1]
 
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        if self.group_type != other.group_type or self.rank != other.rank:
-            raise ValueError("mismatched groups")
-        return GroupElement(self.group_type, tuple(self.apply(x) for x in other.images))
-
-    def inverse(self) -> "GroupElement":
-        images = [0] * self.rank
-        for i, x in enumerate(self.images, start=1):
-            if x > 0:
-                images[x - 1] = i
-            else:
-                images[-x - 1] = -i
-        return GroupElement(self.group_type, tuple(images))
-
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.rank + 1))
 
     def right_mult(self, i: int) -> "GroupElement":
-        """self * s_i without building the generator."""
+        """The composite self o s_i, without building the generator."""
         n = self.rank
         imgs = list(self.images)
         if self.group_type == "C" and i == n:
@@ -126,7 +112,7 @@ class GroupElement:
                     cur = cur.right_mult(i)
                     break
             else:
-                raise AssertionError("non-identity element with no descent")
+                raise RuntimeError("non-identity element with no descent")
         return tuple(reversed(collected))
 
     def one_line(self) -> str:
@@ -260,26 +246,6 @@ def subword_restriction(pi: GroupElement, sigma: GroupElement) -> Polynomial:
     if pi.group_type != sigma.group_type or pi.rank != sigma.rank:
         raise ValueError("mismatched groups")
     return _subword_table(sigma).get(pi, Polynomial.zero())
-
-
-def bruhat_leq(pi: GroupElement, sigma: GroupElement) -> bool:
-    """Subword criterion: pi <= sigma iff some reduced subword of a reduced
-    word of sigma multiplies to pi."""
-    target_len = pi.length()
-    word = sigma.reduced_word()
-    k = len(word)
-
-    def dfs(t: int, elem: GroupElement, chosen: int) -> bool:
-        if chosen == target_len:
-            return elem == pi
-        if chosen + (k - t) < target_len or t == k:
-            return False
-        if dfs(t + 1, elem, chosen):
-            return True
-        q = word[t]
-        return not elem.is_right_descent(q) and dfs(t + 1, elem.right_mult(q), chosen + 1)
-
-    return dfs(0, GroupElement.identity(pi.group_type, pi.rank), 0)
 
 
 # -- cosets and lifts -------------------------------------------------------

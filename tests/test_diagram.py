@@ -14,7 +14,7 @@ from schubpuzzles.diagram import (
 )
 from schubpuzzles.labels import Label, LabelString, SpGr, spgr_strings, strings_with_content
 from schubpuzzles.poly import Polynomial, y
-from schubpuzzles.tensor import compose, identity_map, k_blue, r_same_colour, tensor_all
+from schubpuzzles.tensor import compose, identity_map, k_blue, r_same_colour, tensor_product
 
 parse = LabelString.parse
 
@@ -55,10 +55,10 @@ def test_wiring_worked_example():
     d = build_wiring_diagram((2, 3, 1), "C", 3)
     ident = identity_map(1)
     expected = compose(
-        tensor_all(ident, r_same_colour(y(3) - y(2))),
+        tensor_product(ident, r_same_colour(y(3) - y(2))),
         compose(
-            tensor_all(ident, ident, k_blue(-y(2))),
-            tensor_all(r_same_colour(y(3) - y(1)), ident),
+            tensor_product(ident, ident, k_blue(-y(2))),
+            tensor_product(r_same_colour(y(3) - y(1)), ident),
         ),
     )
     assert as_sparse_map(d) == expected

@@ -60,20 +60,9 @@ def test_substitute_is_homomorphism():
         assert (a + b).substitute(images) == a.substitute(images) + b.substitute(images)
 
 
-def test_substitute_strict_and_degree_guard():
-    with pytest.raises(ValueError, match="unmapped variable"):
-        (y(1) + y(2)).substitute({"y1": 0}, strict=True)
+def test_substitute_degree_guard():
     with pytest.raises(ValueError, match="degree"):
         y(1).substitute({"y1": y(2) * y(2)})
-
-
-def test_text_round_trip():
-    rng = random.Random(99)
-    for _ in range(30):
-        p = rand_poly(rng)
-        text = str(p)
-        assert Polynomial.parse(text) == p
-        assert str(Polynomial.parse(text)) == text
 
 
 def test_text_form_examples():
@@ -82,15 +71,6 @@ def test_text_form_examples():
     assert str(y(2) - y(3)) == "y2 - y3"
     assert str(Polynomial.zero()) == "0"
     assert str(Polynomial.integer(1)) == "1"
-
-
-def test_parse_errors():
-    with pytest.raises(ValueError):
-        Polynomial.parse("")
-    with pytest.raises(ValueError):
-        Polynomial.parse("y1 +")
-    with pytest.raises(ValueError):
-        Polynomial.parse("y1 y2")
 
 
 def test_machine_round_trip():
