@@ -29,9 +29,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .labels import Label, LabelString
+from .labels import LABELS, Label, LabelString
 from .poly import Polynomial, y
-from .tensor import LABELS, SparseMap, k_blue, k_red, r_red_green, r_same_colour, u_split
+from .tensor import SparseMap, k_blue, k_red, r_red_green, r_same_colour, u_split
 
 
 @dataclass(frozen=True)
@@ -220,15 +220,20 @@ def build_half_diagram(n: int) -> ScatteringDiagram:
     return diagram
 
 
-def build_wiring_diagram(word, group_type: str, m: int) -> ScatteringDiagram:
+def build_wiring_diagram(word, group_type: str, m: int, weights=None) -> ScatteringDiagram:
     """Wiring diagram of a word in simple generators on m strands.
 
-    Strands carry y_1..y_m along the top; letters are placed top to bottom
-    in word order and the diagram composes bottom to top.  Letter i < m
-    (any i in type A) crosses strands i, i+1; in type C the letter m is a
-    blue bounce on the last strand, negating its parameter."""
+    Strands carry y_1..y_m along the top, or the m polynomials `weights` in
+    their place; letters are placed top to bottom in word order and the
+    diagram composes bottom to top.  Letter i < m (any i in type A) crosses
+    strands i, i+1; in type C the letter m is a blue bounce on the last
+    strand, negating its parameter."""
     if m < 1:
         raise ValueError("need at least one strand")
+    if weights is None:
+        weights = tuple(y(i) for i in range(1, m + 1))
+    elif len(weights) != m:
+        raise ValueError(f"need {m} strand weights, got {len(weights)}")
     word = tuple(word)
     for q in word:
         if group_type == "A" and not 1 <= q <= m - 1:
@@ -236,7 +241,7 @@ def build_wiring_diagram(word, group_type: str, m: int) -> ScatteringDiagram:
         if group_type == "C" and not 1 <= q <= m:
             raise ValueError(f"type C generator index {q} out of range 1..{m}")
 
-    params: list[Polynomial] = [y(i) for i in range(1, m + 1)]
+    params: list[Polynomial] = list(weights)
     for q in word:  # top to bottom
         if group_type == "C" and q == m:
             params[m - 1] = -params[m - 1]
@@ -253,8 +258,8 @@ def build_wiring_diagram(word, group_type: str, m: int) -> ScatteringDiagram:
         else:
             b.cross(q - 1)
     diagram = b.finish()
-    _require(diagram.output_parameters() == [y(i) for i in range(1, m + 1)],
-             "wiring outputs do not carry y_1..y_m")
+    _require(diagram.output_parameters() == list(weights),
+             "wiring outputs do not carry the strand weights")
     return diagram
 
 

@@ -35,6 +35,8 @@ class Label(enum.IntEnum):
         return f"Label.{self.name}"
 
 
+LABELS = tuple(Label)  # the alphabet in its order 0 < 10 < 1
+
 _TOKENS = {Label.ZERO: "0", Label.TEN: "10", Label.ONE: "1"}
 _COMPACT = {Label.ZERO: "0", Label.TEN: "2", Label.ONE: "1"}
 _DUAL = {Label.ZERO: Label.ONE, Label.TEN: Label.TEN, Label.ONE: Label.ZERO}
@@ -48,7 +50,7 @@ class LabelString:
     __slots__ = ("_labels",)
 
     def __init__(self, labels: Iterable[Label] = ()):
-        self._labels = tuple(Label(x) for x in labels)
+        self._labels = tuple(x if x.__class__ is Label else Label(x) for x in labels)
 
     @classmethod
     def parse(cls, text: str) -> "LabelString":
@@ -142,7 +144,7 @@ class LabelString:
 def _words(content: tuple[int, int, int]) -> Iterator[tuple[Label, ...]]:
     """The distinct arrangements of content[x] copies of each letter x, in
     0 < 10 < 1 lex order: each word is the next permutation of the last."""
-    word = [x for x in (Label.ZERO, Label.TEN, Label.ONE) for _ in range(content[x])]
+    word = [x for x in LABELS for _ in range(content[x])]
     while True:
         yield tuple(word)
         i = len(word) - 2

@@ -210,20 +210,21 @@ def duality_check(k: int, m: int) -> Report:
 
 def crosscheck_restriction(k: int, n: int) -> Report:
     """Verify the symplectic restriction expansion at every fixed point:
-    the ambient restriction at the doubled point, with the ambient weights
-    specialized to the symplectic torus, must equal the pairing of the
-    half-puzzle expansion with the symplectic restrictions."""
+    the ambient restriction at the doubled point, computed directly with the
+    ambient weights specialized to the symplectic torus, must equal the
+    pairing of the half-puzzle expansion with the symplectic restrictions."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     ambient = Gr(k, 2 * n)
     target = SpGr(k, n)
+    weights = tuple(specialize_to_half_torus(y(i), n) for i in range(1, 2 * n + 1))
     checked = failed = 0
     first = None
     for lam in ambient.strings():
         column = transfer(_half(n), lam.labels, reverse=True)
         expansion = {nu: column.get(nu.labels, Polynomial.zero()) for nu in target.strings()}
         for sigma in target.strings():
-            lhs = specialize_to_half_torus(restriction(lam, sigma.double(), ambient), n)
+            lhs = restriction(lam, sigma.double(), ambient, weights)
             rhs = Polynomial.zero()
             for nu, coeff in expansion.items():
                 if not coeff.is_zero:

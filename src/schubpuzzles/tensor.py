@@ -23,10 +23,8 @@ from __future__ import annotations
 import itertools
 from functools import partial
 
-from .labels import Label
+from .labels import LABELS, Label
 from .poly import Polynomial, u
-
-LABELS = (Label.ZERO, Label.TEN, Label.ONE)
 
 Z0, T10, O1 = Label.ZERO, Label.TEN, Label.ONE
 

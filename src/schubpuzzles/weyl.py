@@ -168,12 +168,15 @@ def positive_roots(group_type: str, rank: int) -> list[Polynomial]:
 
 # -- the reduced-subword restriction ---------------------------------------
 
-def _word_betas(word, group_type: str, rank: int) -> list[Polynomial]:
-    """The reflected simple roots (q_1..q_{t-1}) . alpha_{q_t} along a word."""
+def _word_betas(word, group_type: str, rank: int, weights=None) -> list[Polynomial]:
+    """The reflected simple roots (q_1..q_{t-1}) . alpha_{q_t} along a word,
+    with y_i sent to weights[i-1] when weights are given."""
+    images = None if weights is None else {f"y{i}": w for i, w in enumerate(weights, start=1)}
     prefix = GroupElement.identity(group_type, rank)
     betas = []
     for q in word:
-        betas.append(act_on_weights(prefix, simple_root(group_type, rank, q)))
+        beta = act_on_weights(prefix, simple_root(group_type, rank, q))
+        betas.append(beta if images is None else beta.substitute(images))
         prefix = prefix.right_mult(q)
     return betas
 
@@ -211,16 +214,19 @@ def subword_sum_over_word(pi: GroupElement, word) -> Polynomial:
 
 
 @lru_cache(maxsize=None)
-def _subword_table(sigma: GroupElement) -> dict:
-    """Restrictions of every class to the fixed point sigma at once.
+def _subword_table(sigma: GroupElement, weights=None) -> dict:
+    """Restrictions of every class to the fixed point sigma at once, in the
+    torus whose weights are the images of y_1..y_rank (None: the identity).
 
     One pass over the canonical reduced word of sigma, sharing work across
     all the reduced subwords: the state maps each element reachable as a
-    reduced subword product to its accumulated root-product sum.
+    reduced subword product to its accumulated root-product sum.  The
+    weights enter through the roots only, since specializing them is a ring
+    homomorphism and commutes with the sum of products.
     """
     group_type, rank = sigma.group_type, sigma.rank
     word = sigma.reduced_word()
-    betas = _word_betas(word, group_type, rank)
+    betas = _word_betas(word, group_type, rank, weights)
     states: dict[GroupElement, Polynomial] = {
         GroupElement.identity(group_type, rank): Polynomial.integer(1)
     }
@@ -238,14 +244,15 @@ def _subword_table(sigma: GroupElement) -> dict:
     return states
 
 
-def subword_restriction(pi: GroupElement, sigma: GroupElement) -> Polynomial:
+def subword_restriction(pi: GroupElement, sigma: GroupElement, weights=None) -> Polynomial:
     """Restriction of the Schubert class of pi to the fixed point sigma, as
     the sum over reduced subwords of the canonical reduced word of sigma
     whose product is pi, of the product of the reflected simple roots
-    (q_1..q_{t-1}) . alpha_{q_t} over the chosen positions t."""
+    (q_1..q_{t-1}) . alpha_{q_t} over the chosen positions t, with y_i sent
+    to weights[i-1] when weights are given."""
     if pi.group_type != sigma.group_type or pi.rank != sigma.rank:
         raise ValueError("mismatched groups")
-    return _subword_table(sigma).get(pi, Polynomial.zero())
+    return _subword_table(sigma, weights).get(pi, Polynomial.zero())
 
 
 # -- cosets and lifts -------------------------------------------------------
@@ -263,6 +270,7 @@ def coset_string(w: GroupElement, omega: LabelString) -> LabelString:
     return LabelString(out)
 
 
+@lru_cache(maxsize=None)
 def shortest_lift(s: LabelString, omega: LabelString, group_type: str) -> GroupElement:
     """The minimum-length w with coset_string(w, omega) = s.
 
@@ -319,24 +327,32 @@ def shortest_lift(s: LabelString, omega: LabelString, group_type: str) -> GroupE
 # -- the two-backend restriction -------------------------------------------
 
 @lru_cache(maxsize=None)
-def _wiring_column(space: Space, mu: LabelString) -> dict:
+def _wiring_column(space: Space, mu: LabelString, weights=None) -> dict:
     """All (lambda, omega) wiring entries for the fixed point mu at once."""
     omega = space.omega()
     lift = shortest_lift(mu, omega, space.weyl_type)
-    wiring = diagram.build_wiring_diagram(lift.reduced_word(), space.weyl_type, space.rank)
+    wiring = diagram.build_wiring_diagram(
+        lift.reduced_word(), space.weyl_type, space.rank, weights
+    )
     return diagram.transfer(wiring, omega.labels)
 
 
 @lru_cache(maxsize=None)
-def restriction(lam: LabelString, mu: LabelString, space: Space) -> Polynomial:
+def restriction(lam: LabelString, mu: LabelString, space: Space, weights=None) -> Polynomial:
     """The restriction of the Schubert class lam to the fixed point mu,
     computed by both the subword and the wiring-diagram backends; the two
-    must agree exactly."""
+    must agree exactly.
+
+    `weights`, when given, is the tuple of images of y_1..y_rank: both
+    backends then compute directly in that torus, and the result equals the
+    restriction with those images substituted afterwards."""
+    if weights is not None and len(weights) != space.rank:
+        raise ValueError(f"{space} needs {space.rank} weights, got {len(weights)}")
     omega = space.omega()
     pi = shortest_lift(lam, omega, space.weyl_type)
     sigma = shortest_lift(mu, omega, space.weyl_type)
-    by_subword = subword_restriction(pi, sigma)
-    by_wiring = _wiring_column(space, mu).get(lam.labels, Polynomial.zero())
+    by_subword = subword_restriction(pi, sigma, weights)
+    by_wiring = _wiring_column(space, mu, weights).get(lam.labels, Polynomial.zero())
     if by_subword != by_wiring:
         raise RuntimeError(
             f"backend disagreement for {lam.compact()}|{mu.compact()} on {space}: "

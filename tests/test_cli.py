@@ -1,7 +1,5 @@
 import json
 
-import pytest
-
 from schubpuzzles.cli import main
 from schubpuzzles.poly import Polynomial, y
 

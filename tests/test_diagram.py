@@ -3,7 +3,6 @@ import itertools
 import pytest
 
 from schubpuzzles.diagram import (
-    Labeling,
     as_sparse_map,
     build_half_diagram,
     build_triangle_diagram,
@@ -12,7 +11,7 @@ from schubpuzzles.diagram import (
     evaluate_entry,
     transfer,
 )
-from schubpuzzles.labels import Label, LabelString, SpGr, spgr_strings, strings_with_content
+from schubpuzzles.labels import Label, LabelString, SpGr, strings_with_content
 from schubpuzzles.poly import Polynomial, y
 from schubpuzzles.tensor import compose, identity_map, k_blue, r_same_colour, tensor_product
 
@@ -76,6 +75,17 @@ def test_wiring_edge_cases():
         build_wiring_diagram((2,), "A", 2)
     with pytest.raises(ValueError):
         build_wiring_diagram((3,), "C", 2)
+
+
+def test_wiring_carries_weights():
+    weights = (y(1), y(2), -y(2), -y(1))
+    for word in ((), (1,), (2, 1, 3, 2), (1, 2, 3, 1, 2, 1)):
+        d = build_wiring_diagram(word, "A", 4, weights)
+        assert d.output_parameters() == list(weights)
+    with pytest.raises(ValueError, match="weights"):
+        build_wiring_diagram((1,), "A", 4, weights[:3])
+    with pytest.raises(ValueError, match="weights"):
+        build_wiring_diagram((1,), "C", 2, weights)
 
 
 def test_half_delta_entry():

@@ -27,6 +27,16 @@ def test_parse_errors():
         parse("0,11,1")
 
 
+def test_constructor_converts_and_validates():
+    s = LabelString([0, Label.TEN, 2])
+    assert s == parse("021")
+    assert all(x.__class__ is Label for x in s.labels)
+    with pytest.raises(ValueError):
+        LabelString([Label.ZERO, None])
+    with pytest.raises(ValueError):
+        LabelString([3])
+
+
 def test_round_trip():
     s = parse("021120")
     assert parse(s.compact()) == s

@@ -13,7 +13,6 @@ from schubpuzzles.schubert import (
     restrict_to_spgr,
     specialize_to_half_torus,
     two_step_product,
-    _half,
 )
 
 parse = LabelString.parse

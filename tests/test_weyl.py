@@ -4,6 +4,7 @@ import pytest
 
 from schubpuzzles.labels import Fl, Gr, LabelString, SpGr
 from schubpuzzles.poly import Polynomial, y
+from schubpuzzles.schubert import specialize_to_half_torus
 from schubpuzzles.weyl import (
     GroupElement,
     act_on_weights,
@@ -206,6 +207,37 @@ def test_restriction_backends_agree_sweep():
         for lam in space.strings():
             for mu in space.strings():
                 restriction(lam, mu, space)
+
+
+def test_restriction_in_half_torus_equals_specialized_restriction():
+    # specializing y_{n+i} -> -y_{n+1-i} is a ring homomorphism, so passing
+    # the specialized weights to both backends must give exactly the
+    # specialization of the ambient restriction
+    for n in (1, 2, 3):
+        weights = tuple(specialize_to_half_torus(y(i), n) for i in range(1, 2 * n + 1))
+        for k in range(2 * n + 1):
+            space = Gr(k, 2 * n)
+            for lam in space.strings():
+                for mu in space.strings():
+                    direct = restriction(lam, mu, space, weights)
+                    assert direct == specialize_to_half_torus(restriction(lam, mu, space), n)
+
+
+def test_restriction_weights_length_checked():
+    space = Gr(1, 4)
+    omega = space.omega()
+    for weights in ((y(1), y(2), y(3)), tuple(y(i) for i in range(1, 6))):
+        with pytest.raises(ValueError, match="weights"):
+            restriction(omega, omega, space, weights)
+
+
+def test_shortest_lift_cached_and_clearable():
+    space = SpGr(1, 3)
+    s = space.strings()[-1]
+    first = shortest_lift(s, space.omega(), "C")
+    assert shortest_lift(s, space.omega(), "C") is first
+    shortest_lift.cache_clear()
+    assert shortest_lift(s, space.omega(), "C") == first
 
 
 def test_positive_roots():
