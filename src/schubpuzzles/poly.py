@@ -294,19 +294,15 @@ class Polynomial:
 
     def _sorted_terms(self) -> list[tuple[Monomial, int]]:
         """Terms in graded lexicographic order (highest degree first)."""
-        unpacked = [(_unpack(m), c) for m, c in self._terms.items()]
-        varlist = self.variables()
-        index = {v: i for i, v in enumerate(varlist)}
 
         def key(item):
+            # _unpack lists variables in var_key order; at the first place two
+            # monomials of one degree differ, the earlier variable or the
+            # larger exponent sorts first, which is grlex
             mono, _ = item
-            deg = sum(e for _, e in mono)
-            vec = [0] * len(varlist)
-            for v, e in mono:
-                vec[index[v]] = e
-            return (-deg, tuple(-x for x in vec))
+            return (-sum(e for _, e in mono), [(var_key(v), -e) for v, e in mono])
 
-        return sorted(unpacked, key=key)
+        return sorted(((_unpack(m), c) for m, c in self._terms.items()), key=key)
 
     @staticmethod
     def _format_term(mono: Monomial, coeff: int) -> str:

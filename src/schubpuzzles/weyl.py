@@ -14,9 +14,10 @@ backend, which is the printed source of truth):
 * A coset string places omega_i at position w(i), dualized (0 <-> 1)
   when the image is negative.
 
-``restriction`` computes a point restriction by two independent routes --
-the reduced-subword sum and the wiring-diagram matrix entry -- and
-insists they agree.
+Restrictions are computed and compared one fixed point at a time: for a
+point mu, the reduced-subword DP and the wiring-diagram contraction each
+give the restriction of every class to mu, and the two columns must agree
+entry by entry before ``restriction`` answers from them.
 """
 
 from __future__ import annotations
@@ -68,7 +69,12 @@ class GroupElement:
             imgs[i - 1], imgs[i] = imgs[i], imgs[i - 1]
         else:
             raise ValueError(f"generator index {i} out of range")
-        return GroupElement(self.group_type, tuple(imgs))
+        # a generator swaps two images or negates the last one, which keeps a
+        # signed permutation signed, so the product skips __post_init__'s check
+        product = object.__new__(GroupElement)
+        object.__setattr__(product, "group_type", self.group_type)
+        object.__setattr__(product, "images", tuple(imgs))
+        return product
 
     def _key(self, a: int) -> int:
         # linear order on signed indices in which y_a - y_b < 0 iff key(a) > key(b)
@@ -213,7 +219,6 @@ def subword_sum_over_word(pi: GroupElement, word) -> Polynomial:
     return total
 
 
-@lru_cache(maxsize=None)
 def _subword_table(sigma: GroupElement, weights=None) -> dict:
     """Restrictions of every class to the fixed point sigma at once, in the
     torus whose weights are the images of y_1..y_rank (None: the identity).
@@ -327,17 +332,35 @@ def shortest_lift(s: LabelString, omega: LabelString, group_type: str) -> GroupE
 # -- the two-backend restriction -------------------------------------------
 
 @lru_cache(maxsize=None)
-def _wiring_column(space: Space, mu: LabelString, weights=None) -> dict:
-    """All (lambda, omega) wiring entries for the fixed point mu at once."""
+def _restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
+    """The restrictions of every Schubert class of space to the fixed point
+    mu, as {label tuple of lambda: nonzero polynomial}.
+
+    Both backends produce the whole column: the subword DP table of the
+    lift of mu read at every lambda's shortest lift, and the forward
+    transfer of the wiring diagram of mu.  They must agree on every lambda."""
     omega = space.omega()
-    lift = shortest_lift(mu, omega, space.weyl_type)
+    sigma = shortest_lift(mu, omega, space.weyl_type)
+    table = _subword_table(sigma, weights)
     wiring = diagram.build_wiring_diagram(
-        lift.reduced_word(), space.weyl_type, space.rank, weights
+        sigma.reduced_word(), space.weyl_type, space.rank, weights
     )
-    return diagram.transfer(wiring, omega.labels)
+    column = diagram.transfer(wiring, omega.labels)
+    zero = Polynomial.zero()
+    restrictions = {}
+    for lam in space.strings():
+        by_subword = table.get(shortest_lift(lam, omega, space.weyl_type), zero)
+        by_wiring = column.get(lam.labels, zero)
+        if by_subword != by_wiring:
+            raise RuntimeError(
+                f"backend disagreement for {lam.compact()}|{mu.compact()} on {space}: "
+                f"subword {by_subword} vs wiring {by_wiring}"
+            )
+        if by_subword:
+            restrictions[lam.labels] = by_subword
+    return restrictions
 
 
-@lru_cache(maxsize=None)
 def restriction(lam: LabelString, mu: LabelString, space: Space, weights=None) -> Polynomial:
     """The restriction of the Schubert class lam to the fixed point mu,
     computed by both the subword and the wiring-diagram backends; the two
@@ -348,14 +371,5 @@ def restriction(lam: LabelString, mu: LabelString, space: Space, weights=None) -
     restriction with those images substituted afterwards."""
     if weights is not None and len(weights) != space.rank:
         raise ValueError(f"{space} needs {space.rank} weights, got {len(weights)}")
-    omega = space.omega()
-    pi = shortest_lift(lam, omega, space.weyl_type)
-    sigma = shortest_lift(mu, omega, space.weyl_type)
-    by_subword = subword_restriction(pi, sigma, weights)
-    by_wiring = _wiring_column(space, mu, weights).get(lam.labels, Polynomial.zero())
-    if by_subword != by_wiring:
-        raise RuntimeError(
-            f"backend disagreement for {lam.compact()}|{mu.compact()} on {space}: "
-            f"subword {by_subword} vs wiring {by_wiring}"
-        )
-    return by_subword
+    shortest_lift(lam, space.omega(), space.weyl_type)  # rejects lam outside the space
+    return _restrictions_at(space, mu, weights).get(lam.labels, Polynomial.zero())

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+import sympy
 
-from schubpuzzles.poly import Polynomial, u, y
+from schubpuzzles.poly import Polynomial, u, y, var_key
 
 
 def rand_poly(rng, nvars=3, nterms=4, maxdeg=2):
@@ -71,6 +72,29 @@ def test_text_form_examples():
     assert str(y(2) - y(3)) == "y2 - y3"
     assert str(Polynomial.zero()) == "0"
     assert str(Polynomial.integer(1)) == "1"
+
+
+def test_text_term_order_is_sympy_grlex():
+    # gens in var_key order, so sympy's grlex is the order str() promises
+    names = sorted(["y1", "y2", "y3", "y10", "u1", "u2"], key=var_key)
+    symbols = dict(zip(names, sympy.symbols(names)))
+    rng = random.Random(20261018)
+    for _ in range(300):
+        p = Polynomial.zero()
+        for _ in range(rng.randint(1, 6)):
+            powers = {rng.choice(names): rng.randint(0, 3) for _ in range(rng.randint(0, 3))}
+            p = p + Polynomial.monomial(rng.choice([-3, -1, 1, 2]), powers)
+        if p.is_zero:
+            continue
+        expr = sum(
+            c * sympy.Mul(*(symbols[v] ** e for v, e in mono)) for mono, c in p.terms().items()
+        )
+        grlex = sympy.Poly(expr, *symbols.values()).terms(order="grlex")
+        pieces = [str(Polynomial.monomial(int(c), dict(zip(names, exps)))) for exps, c in grlex]
+        expected = pieces[0] + "".join(
+            f" - {t[1:]}" if t.startswith("-") else f" + {t}" for t in pieces[1:]
+        )
+        assert str(p) == expected
 
 
 def test_machine_round_trip():

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from schubpuzzles.diagram import enumerate_labelings
@@ -199,6 +201,19 @@ def test_crosscheck_restriction_counts():
     assert r.passed and r.checked == 16
     r = crosscheck_restriction(2, 2)
     assert r.passed and r.checked == 24
+
+
+@pytest.mark.slow
+def test_crosscheck_restriction_rank_5():
+    start = time.monotonic()
+    checked = 0
+    for k in (1, 2):
+        outcome = crosscheck_restriction(k, 5)
+        assert outcome.passed, str(outcome)
+        checked += outcome.checked
+    elapsed = time.monotonic() - start
+    assert checked == 1900
+    assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds the 60s budget"
 
 
 def test_crosscheck_product_small():

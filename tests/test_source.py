@@ -9,15 +9,39 @@ def _raises_assertion_error(node) -> bool:
     return isinstance(exc, ast.Name) and exc.id == "AssertionError"
 
 
+def _package_trees():
+    package = pathlib.Path(schubpuzzles.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_memo_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    return name in ("lru_cache", "cache")
+
+
 def test_no_assert_statements_in_package():
     # invariants must raise a real error: `python -O` strips assert
     # statements, and AssertionError reads as a failed assert
-    package = pathlib.Path(schubpuzzles.__file__).parent
     found = []
-    for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for path, tree in _package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Assert) or (
                 isinstance(node, ast.Raise) and node.exc is not None and _raises_assertion_error(node)
             ):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"assert statements or AssertionError raises in the package: {found}"
+
+
+def test_memo_layers_are_fixed():
+    # each memo layer holds its values for the life of the process; a new
+    # one has to be added to this list on purpose
+    memoized = {
+        node.name
+        for _, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(_is_memo_decorator(d) for d in node.decorator_list)
+    }
+    assert memoized == {"_triangle", "_half", "shortest_lift", "_restrictions_at"}

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from schubpuzzles import weyl
 from schubpuzzles.labels import Fl, Gr, LabelString, SpGr
 from schubpuzzles.poly import Polynomial, y
 from schubpuzzles.schubert import specialize_to_half_torus
@@ -47,6 +48,31 @@ def bfs_lengths(group_type, rank):
                     new.append(v)
         frontier = new
     return dist
+
+
+def test_constructor_rejects_non_signed_permutations():
+    with pytest.raises(ValueError, match="signed permutation"):
+        GroupElement("A", (1, 1, 3))
+    with pytest.raises(ValueError, match="negative"):
+        GroupElement("A", (1, -2, 3))
+    with pytest.raises(ValueError, match="group type"):
+        GroupElement("B", (1, 2))
+
+
+def test_right_mult_equals_validated_constructor():
+    # right_mult skips validation; w o s_i must still be the signed
+    # permutation j -> w(s_i(j)), built here through the checking constructor
+    for group_type, rank in (("A", 3), ("C", 2)):
+        for w in all_elements(group_type, rank):
+            for i in w.generator_indices():
+                if group_type == "C" and i == rank:
+                    s_i = {rank: -rank}
+                else:
+                    s_i = {i: i + 1, i + 1: i}
+                images = tuple(w.apply(s_i.get(j, j)) for j in range(1, rank + 1))
+                expected = GroupElement(group_type, images)
+                assert w.right_mult(i) == expected
+                assert hash(w.right_mult(i)) == hash(expected)
 
 
 def test_word_to_element_worked_example():
@@ -207,6 +233,28 @@ def test_restriction_backends_agree_sweep():
         for lam in space.strings():
             for mu in space.strings():
                 restriction(lam, mu, space)
+
+
+def test_backend_disagreement_raises(monkeypatch):
+    # one perturbed subword entry must fail the whole-column comparison at
+    # that entry, even when a different class is asked for
+    space = Gr(2, 4)
+    mu = parse("1100")
+    perturbed_lift = shortest_lift(parse("0101"), space.omega(), "A")
+    real_table = weyl._subword_table
+
+    def perturbed_table(sigma, weights=None):
+        table = dict(real_table(sigma, weights))
+        table[perturbed_lift] = table.get(perturbed_lift, Polynomial.zero()) + 1
+        return table
+
+    weyl._restrictions_at.cache_clear()
+    monkeypatch.setattr(weyl, "_subword_table", perturbed_table)
+    try:
+        with pytest.raises(RuntimeError, match=r"0101\|1100 on Gr\(2,4\)"):
+            restriction(space.omega(), mu, space)
+    finally:
+        weyl._restrictions_at.cache_clear()
 
 
 def test_restriction_in_half_torus_equals_specialized_restriction():
