@@ -345,6 +345,11 @@ class Polynomial:
             terms[mono] = terms.get(mono, 0) + int(coeff)
         return cls(terms)
 
+    def __reduce__(self):
+        # packed monomials index this process's variable registration order,
+        # so pickles carry variable names instead
+        return Polynomial.from_machine, (self.machine(),)
+
     # -- exact division ---------------------------------------------------
 
     def divide_exact(self, divisor: "Polynomial") -> "Polynomial | None":

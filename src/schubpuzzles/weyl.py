@@ -7,8 +7,8 @@ backend, which is the printed source of truth):
 * Elements are signed permutations in one-line notation; type A has no
   signs.  ``w.right_mult(i)`` is the composite w o s_i, applying s_i
   first, so a word (q_1, .., q_k) read left to right through
-  ``right_mult`` is q_1 o q_2 o .. o q_k.  Generator i < n swaps i and
-  i+1; in type C generator n negates n.
+  ``right_mult`` is q_1 o q_2 o .. o q_k; ``w.left_mult(i)`` is s_i o w.
+  Generator i < n swaps i and i+1; in type C generator n negates n.
 * Simple roots are alpha_i = y_i - y_{i+1}, and alpha_n = 2 y_n in type
   C.  The group acts on weights by w . y_i = y_{w(i)} with y_{-j} = -y_j.
 * A coset string places omega_i at position w(i), dualized (0 <-> 1)
@@ -18,6 +18,13 @@ Restrictions are computed and compared one fixed point at a time: for a
 point mu, the reduced-subword DP and the wiring-diagram contraction each
 give the restriction of every class to mu, and the two columns must agree
 entry by entry before ``restriction`` answers from them.
+
+The subword DP (Billey's formula) walks the reduced word of mu's lift from
+right to left and keeps only minimal coset representatives, the elements
+with no right descent in the stabilizer's generators J.  The pruning is
+exact: every suffix of a reduced word of an element of W^J is itself in W^J
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, GTM 231, section 2.4), so a
+dropped state never grows into a class of the space.
 """
 
 from __future__ import annotations
@@ -59,6 +66,14 @@ class GroupElement:
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.rank + 1))
 
+    def _product(self, images: tuple[int, ...]) -> "GroupElement":
+        # a generator swaps two images or values, or negates one, which keeps
+        # a signed permutation signed, so products skip __post_init__'s check
+        product = object.__new__(GroupElement)
+        object.__setattr__(product, "group_type", self.group_type)
+        object.__setattr__(product, "images", images)
+        return product
+
     def right_mult(self, i: int) -> "GroupElement":
         """The composite self o s_i, without building the generator."""
         n = self.rank
@@ -69,12 +84,19 @@ class GroupElement:
             imgs[i - 1], imgs[i] = imgs[i], imgs[i - 1]
         else:
             raise ValueError(f"generator index {i} out of range")
-        # a generator swaps two images or negates the last one, which keeps a
-        # signed permutation signed, so the product skips __post_init__'s check
-        product = object.__new__(GroupElement)
-        object.__setattr__(product, "group_type", self.group_type)
-        object.__setattr__(product, "images", tuple(imgs))
-        return product
+        return self._product(tuple(imgs))
+
+    def left_mult(self, i: int) -> "GroupElement":
+        """The composite s_i o self: swaps the values +-i and +-(i+1), keeping
+        signs, or in type C for i = n negates the value +-n."""
+        n = self.rank
+        if self.group_type == "C" and i == n:
+            swap = {n: -n, -n: n}
+        elif 1 <= i <= n - 1:
+            swap = {i: i + 1, i + 1: i, -i: -i - 1, -i - 1: -i}
+        else:
+            raise ValueError(f"generator index {i} out of range")
+        return self._product(tuple(swap.get(x, x) for x in self.images))
 
     def _key(self, a: int) -> int:
         # linear order on signed indices in which y_a - y_b < 0 iff key(a) > key(b)
@@ -104,6 +126,17 @@ class GroupElement:
             raise ValueError(f"generator index {i} out of range")
         return self._key(self.images[i - 1]) > self._key(self.images[i])
 
+    def is_left_descent(self, i: int) -> bool:
+        """Whether multiplying by s_i on the left shortens the element, that
+        is whether the inverse sends alpha_i to a negative root."""
+        n = self.rank
+        preimage = {abs(x): (j if x > 0 else -j) for j, x in enumerate(self.images, start=1)}
+        if self.group_type == "C" and i == n:
+            return preimage[n] < 0
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"generator index {i} out of range")
+        return self._key(preimage[i]) > self._key(preimage[i + 1])
+
     def generator_indices(self) -> range:
         return range(1, self.rank + 1) if self.group_type == "C" else range(1, self.rank)
 
@@ -128,42 +161,6 @@ class GroupElement:
         return self.one_line()
 
 
-def word_to_element(word, group_type: str, rank: int) -> GroupElement:
-    """The product of the word, applied right letter first."""
-    result = GroupElement.identity(group_type, rank)
-    for q in word:
-        result = result.right_mult(q)
-    return result
-
-
-def all_reduced_words(w: GroupElement):
-    """Every reduced word of w (exponential; tiny ranks only)."""
-    if w.is_identity():
-        yield ()
-        return
-    for i in w.generator_indices():
-        if w.is_right_descent(i):
-            for prefix in all_reduced_words(w.right_mult(i)):
-                yield prefix + (i,)
-
-
-def simple_root(group_type: str, rank: int, i: int) -> Polynomial:
-    if group_type == "C" and i == rank:
-        return Polynomial.integer(2) * y(rank)
-    if not 1 <= i <= rank - 1:
-        raise ValueError(f"no simple root with index {i} at rank {rank}")
-    return y(i) - y(i + 1)
-
-
-def act_on_weights(w: GroupElement, p: Polynomial) -> Polynomial:
-    """Substitute y_i -> y_{w(i)}, with y_{-j} meaning -y_j."""
-    images = {}
-    for i in range(1, w.rank + 1):
-        target = w.apply(i)
-        images[f"y{i}"] = y(target) if target > 0 else -y(-target)
-    return p.substitute(images)
-
-
 def positive_roots(group_type: str, rank: int) -> list[Polynomial]:
     roots = [y(i) - y(j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
     if group_type == "C":
@@ -174,90 +171,55 @@ def positive_roots(group_type: str, rank: int) -> list[Polynomial]:
 
 # -- the reduced-subword restriction ---------------------------------------
 
-def _word_betas(word, group_type: str, rank: int, weights=None) -> list[Polynomial]:
-    """The reflected simple roots (q_1..q_{t-1}) . alpha_{q_t} along a word,
-    with y_i sent to weights[i-1] when weights are given."""
-    images = None if weights is None else {f"y{i}": w for i, w in enumerate(weights, start=1)}
-    prefix = GroupElement.identity(group_type, rank)
-    betas = []
-    for q in word:
-        beta = act_on_weights(prefix, simple_root(group_type, rank, q))
-        betas.append(beta if images is None else beta.substitute(images))
-        prefix = prefix.right_mult(q)
-    return betas
+def _subword_column(sigma: GroupElement, parabolic: tuple[int, ...], weights=None) -> dict:
+    """Restrictions to the fixed point sigma of the classes of every minimal
+    coset representative below it, as {element: polynomial}, in the torus
+    whose weights are the images of y_1..y_rank (None: the identity).
 
-
-def subword_sum_over_word(pi: GroupElement, word) -> Polynomial:
-    """The sum over reduced subwords of `word` with product pi of the
-    product of the reflected roots at the chosen positions.  Direct
-    depth-first enumeration with remaining-length pruning; `word` need not
-    be the canonical reduced word."""
-    group_type, rank = pi.group_type, pi.rank
-    word = tuple(word)
-    target_len = pi.length()
-    k = len(word)
-    if target_len > k:
-        return Polynomial.zero()
-    betas = _word_betas(word, group_type, rank)
-    total = Polynomial.zero()
-
-    def dfs(t: int, elem: GroupElement, chosen: int, product: Polynomial):
-        nonlocal total
-        if chosen == target_len:
-            if elem == pi:
-                total = total + product
-            # longer subwords cannot stay reduced at this length
-            return
-        if chosen + (k - t) < target_len:
-            return
-        dfs(t + 1, elem, chosen, product)
-        q = word[t]
-        if not elem.is_right_descent(q):
-            dfs(t + 1, elem.right_mult(q), chosen + 1, product * betas[t])
-
-    dfs(0, GroupElement.identity(group_type, rank), 0, Polynomial.integer(1))
-    return total
-
-
-def _subword_table(sigma: GroupElement, weights=None) -> dict:
-    """Restrictions of every class to the fixed point sigma at once, in the
-    torus whose weights are the images of y_1..y_rank (None: the identity).
-
-    One pass over the canonical reduced word of sigma, sharing work across
-    all the reduced subwords: the state maps each element reachable as a
-    reduced subword product to its accumulated root-product sum.  The
-    weights enter through the roots only, since specializing them is a ring
-    homomorphism and commutes with the sum of products.
+    Billey's formula sums, over the reduced subwords of sigma's canonical
+    reduced word q_1..q_L, the product of the roots
+    beta_t = (q_1..q_{t-1}) . alpha_{q_t} at the chosen positions.  The DP
+    reads the word from right to left: a state is the product v of the
+    letters chosen among positions t..L, and it grows to s_{q_t} o v when
+    that is longer.  States with a right descent in `parabolic` are dropped,
+    since no suffix of a reduced word of a minimal coset representative has
+    one.  The weights enter through the roots only, since specializing them
+    is a ring homomorphism and commutes with the sum of products.
     """
     group_type, rank = sigma.group_type, sigma.rank
+    if weights is None:
+        weights = tuple(y(i) for i in range(1, rank + 1))
+
+    def weight(j: int) -> Polynomial:
+        return weights[j - 1] if j > 0 else -weights[-j - 1]
+
     word = sigma.reduced_word()
-    betas = _word_betas(word, group_type, rank, weights)
+    betas = []
+    prefix = GroupElement.identity(group_type, rank)
+    for q in word:
+        if group_type == "C" and q == rank:
+            betas.append(2 * weight(prefix.apply(q)))
+        else:
+            betas.append(weight(prefix.apply(q)) - weight(prefix.apply(q + 1)))
+        prefix = prefix.right_mult(q)
     states: dict[GroupElement, Polynomial] = {
         GroupElement.identity(group_type, rank): Polynomial.integer(1)
     }
-    for q, beta in zip(word, betas):
+    for q, beta in zip(reversed(word), reversed(betas)):
         new_states = dict(states)
         for elem, total in states.items():
-            if not elem.is_right_descent(q):
-                grown = elem.right_mult(q)
-                add = total * beta
-                if grown in new_states:
-                    new_states[grown] = new_states[grown] + add
-                else:
-                    new_states[grown] = add
+            if elem.is_left_descent(q):
+                continue
+            grown = elem.left_mult(q)
+            if any(grown.is_right_descent(j) for j in parabolic):
+                continue
+            add = total * beta
+            if grown in new_states:
+                new_states[grown] = new_states[grown] + add
+            else:
+                new_states[grown] = add
         states = new_states
     return states
-
-
-def subword_restriction(pi: GroupElement, sigma: GroupElement, weights=None) -> Polynomial:
-    """Restriction of the Schubert class of pi to the fixed point sigma, as
-    the sum over reduced subwords of the canonical reduced word of sigma
-    whose product is pi, of the product of the reflected simple roots
-    (q_1..q_{t-1}) . alpha_{q_t} over the chosen positions t, with y_i sent
-    to weights[i-1] when weights are given."""
-    if pi.group_type != sigma.group_type or pi.rank != sigma.rank:
-        raise ValueError("mismatched groups")
-    return _subword_table(sigma, weights).get(pi, Polynomial.zero())
 
 
 # -- cosets and lifts -------------------------------------------------------
@@ -336,12 +298,20 @@ def _restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
     """The restrictions of every Schubert class of space to the fixed point
     mu, as {label tuple of lambda: nonzero polynomial}.
 
-    Both backends produce the whole column: the subword DP table of the
-    lift of mu read at every lambda's shortest lift, and the forward
-    transfer of the wiring diagram of mu.  They must agree on every lambda."""
+    Both backends produce the whole column.  The subword DP runs right to
+    left over the reduced word of mu's lift and keeps only minimal coset
+    representatives for the generators J that fix omega (exact by
+    Bjorner-Brenti, GTM 231, section 2.4: suffixes of reduced words of W^J
+    elements stay in W^J); it is read at every lambda's shortest lift.  The
+    wiring backend is the forward transfer of the wiring diagram of mu.
+    They must agree on every lambda."""
     omega = space.omega()
     sigma = shortest_lift(mu, omega, space.weyl_type)
-    table = _subword_table(sigma, weights)
+    identity = GroupElement.identity(space.weyl_type, space.rank)
+    parabolic = tuple(
+        i for i in identity.generator_indices() if coset_string(identity.right_mult(i), omega) == omega
+    )
+    table = _subword_column(sigma, parabolic, weights)
     wiring = diagram.build_wiring_diagram(
         sigma.reduced_word(), space.weyl_type, space.rank, weights
     )

@@ -1,8 +1,14 @@
+import os
+import pathlib
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy
 
+import schubpuzzles
 from schubpuzzles.poly import Polynomial, u, y, var_key
 
 
@@ -102,6 +108,38 @@ def test_machine_round_trip():
     data = p.machine()
     assert data == [[-2, {"y1": 2, "y3": 1}], [1, {"y2": 1}]]
     assert Polynomial.from_machine(data) == p
+
+
+def _run_fresh(source: str, stdin: bytes = b"") -> bytes:
+    """Run `source` in a fresh interpreter that imports this package."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(schubpuzzles.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", source], input=stdin, capture_output=True, env=env, check=True
+    )
+    return done.stdout
+
+
+def test_pickle_is_process_independent():
+    # packed monomials index the order in which a process registered its
+    # variables; a pickle must mean the same polynomial in any process
+    pickled = _run_fresh(
+        "import pickle, sys\n"
+        "from schubpuzzles.poly import u, y\n"
+        "u(1); y(7)\n"
+        "sys.stdout.buffer.write(pickle.dumps([y(1) - y(2), 3 * u(1) ** 2 * y(2) - 5]))\n"
+    )
+    printed = _run_fresh(
+        "import pickle, sys\n"
+        "from schubpuzzles.poly import u, y\n"
+        "y(2); y(5); y(1); u(3)\n"
+        "got = pickle.loads(sys.stdin.buffer.read())\n"
+        "assert got == [y(1) - y(2), 3 * u(1) ** 2 * y(2) - 5], got\n"
+        "print(*got, sep='; ')\n",
+        stdin=pickled,
+    )
+    assert printed.decode() == "y1 - y2; 3*u1^2*y2 - 5\n"
+    assert pickle.loads(pickled) == [y(1) - y(2), 3 * u(1) ** 2 * y(2) - 5]
+    assert pickle.loads(pickle.dumps(Polynomial.zero())) == 0
 
 
 def test_divide_exact():

@@ -207,12 +207,12 @@ def test_crosscheck_restriction_counts():
 def test_crosscheck_restriction_rank_5():
     start = time.monotonic()
     checked = 0
-    for k in (1, 2):
+    for k in (1, 2, 3, 4, 5):
         outcome = crosscheck_restriction(k, 5)
         assert outcome.passed, str(outcome)
         checked += outcome.checked
     elapsed = time.monotonic() - start
-    assert checked == 1900
+    assert checked == 36364
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds the 60s budget"
 
 

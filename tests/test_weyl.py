@@ -8,19 +8,126 @@ from schubpuzzles.poly import Polynomial, y
 from schubpuzzles.schubert import specialize_to_half_torus
 from schubpuzzles.weyl import (
     GroupElement,
-    act_on_weights,
-    all_reduced_words,
     coset_string,
     positive_roots,
     restriction,
     shortest_lift,
-    simple_root,
-    subword_restriction,
-    subword_sum_over_word,
-    word_to_element,
 )
 
 parse = LabelString.parse
+
+
+# -- the full-group subword DP: the reference for the parabolic one ---------
+
+def word_to_element(word, group_type: str, rank: int) -> GroupElement:
+    """The product of the word, applied right letter first."""
+    result = GroupElement.identity(group_type, rank)
+    for q in word:
+        result = result.right_mult(q)
+    return result
+
+
+def all_reduced_words(w: GroupElement):
+    """Every reduced word of w (exponential; tiny ranks only)."""
+    if w.is_identity():
+        yield ()
+        return
+    for i in w.generator_indices():
+        if w.is_right_descent(i):
+            for prefix in all_reduced_words(w.right_mult(i)):
+                yield prefix + (i,)
+
+
+def simple_root(group_type: str, rank: int, i: int) -> Polynomial:
+    if group_type == "C" and i == rank:
+        return Polynomial.integer(2) * y(rank)
+    if not 1 <= i <= rank - 1:
+        raise ValueError(f"no simple root with index {i} at rank {rank}")
+    return y(i) - y(i + 1)
+
+
+def act_on_weights(w: GroupElement, p: Polynomial) -> Polynomial:
+    """Substitute y_i -> y_{w(i)}, with y_{-j} meaning -y_j."""
+    images = {}
+    for i in range(1, w.rank + 1):
+        target = w.apply(i)
+        images[f"y{i}"] = y(target) if target > 0 else -y(-target)
+    return p.substitute(images)
+
+
+def word_betas(word, group_type: str, rank: int) -> list[Polynomial]:
+    """The reflected simple roots (q_1..q_{t-1}) . alpha_{q_t} along a word."""
+    prefix = GroupElement.identity(group_type, rank)
+    betas = []
+    for q in word:
+        betas.append(act_on_weights(prefix, simple_root(group_type, rank, q)))
+        prefix = prefix.right_mult(q)
+    return betas
+
+
+def subword_sum_over_word(pi: GroupElement, word) -> Polynomial:
+    """The sum over reduced subwords of `word` with product pi of the
+    product of the reflected roots at the chosen positions.  Direct
+    depth-first enumeration with remaining-length pruning; `word` need not
+    be the canonical reduced word."""
+    group_type, rank = pi.group_type, pi.rank
+    word = tuple(word)
+    target_len = pi.length()
+    k = len(word)
+    if target_len > k:
+        return Polynomial.zero()
+    betas = word_betas(word, group_type, rank)
+    total = Polynomial.zero()
+
+    def dfs(t: int, elem: GroupElement, chosen: int, product: Polynomial):
+        nonlocal total
+        if chosen == target_len:
+            if elem == pi:
+                total = total + product
+            # longer subwords cannot stay reduced at this length
+            return
+        if chosen + (k - t) < target_len:
+            return
+        dfs(t + 1, elem, chosen, product)
+        q = word[t]
+        if not elem.is_right_descent(q):
+            dfs(t + 1, elem.right_mult(q), chosen + 1, product * betas[t])
+
+    dfs(0, GroupElement.identity(group_type, rank), 0, Polynomial.integer(1))
+    return total
+
+
+def full_subword_table(sigma: GroupElement) -> dict:
+    """Restrictions of every class of the full group to the fixed point
+    sigma: one left-to-right pass over sigma's canonical reduced word whose
+    state maps every element reachable as a reduced subword product to its
+    accumulated root-product sum."""
+    group_type, rank = sigma.group_type, sigma.rank
+    word = sigma.reduced_word()
+    states = {GroupElement.identity(group_type, rank): Polynomial.integer(1)}
+    for q, beta in zip(word, word_betas(word, group_type, rank)):
+        new_states = dict(states)
+        for elem, total in states.items():
+            if not elem.is_right_descent(q):
+                grown = elem.right_mult(q)
+                new_states[grown] = new_states.get(grown, Polynomial.zero()) + total * beta
+        states = new_states
+    return states
+
+
+def subword_restriction(pi: GroupElement, sigma: GroupElement) -> Polynomial:
+    """Restriction of the Schubert class of pi to the fixed point sigma, read
+    from the full-group table."""
+    return full_subword_table(sigma).get(pi, Polynomial.zero())
+
+
+def parabolic_generators(space) -> tuple[int, ...]:
+    """The generators whose reflection fixes the base string of the space."""
+    omega = space.omega()
+    identity = GroupElement.identity(space.weyl_type, space.rank)
+    return tuple(
+        i for i in identity.generator_indices() if coset_string(identity.right_mult(i), omega) == omega
+    )
 
 
 def all_elements(group_type, rank):
@@ -73,6 +180,33 @@ def test_right_mult_equals_validated_constructor():
                 expected = GroupElement(group_type, images)
                 assert w.right_mult(i) == expected
                 assert hash(w.right_mult(i)) == hash(expected)
+
+
+def test_left_mult_equals_validated_constructor():
+    # left_mult skips validation; s_q o w must still be the signed
+    # permutation j -> s_q(w(j)), built here through the checking constructor
+    for group_type, rank in (("A", 3), ("C", 2), ("C", 3)):
+        for w in all_elements(group_type, rank):
+            for q in w.generator_indices():
+                if group_type == "C" and q == rank:
+                    s_q = {rank: -rank, -rank: rank}
+                else:
+                    s_q = {q: q + 1, q + 1: q, -q: -q - 1, -q - 1: -q}
+                expected = GroupElement(group_type, tuple(s_q.get(x, x) for x in w.images))
+                assert w.left_mult(q) == expected
+                assert hash(w.left_mult(q)) == hash(expected)
+
+
+def test_left_descent_matches_length():
+    for group_type, rank in (("A", 3), ("C", 2), ("C", 3)):
+        for w in all_elements(group_type, rank):
+            for q in w.generator_indices():
+                rises = w.left_mult(q).length() == w.length() + 1
+                assert (not w.is_left_descent(q)) == rises, (w, q)
+        with pytest.raises(ValueError, match="out of range"):
+            GroupElement.identity(group_type, rank).left_mult(rank + 1)
+        with pytest.raises(ValueError, match="out of range"):
+            GroupElement.identity(group_type, rank).is_left_descent(0)
 
 
 def test_word_to_element_worked_example():
@@ -211,6 +345,26 @@ def test_subword_independent_of_reduced_word():
                 assert values == {str(subword_restriction(pi, sigma))}
 
 
+def test_parabolic_table_equals_full_table_on_coset_representatives():
+    # the right-to-left DP pruned to W^J must give, at every point, exactly the
+    # full-group table's entries at the shortest lifts of the space's strings,
+    # and never hold more states than the space has classes
+    spaces = (
+        Gr(2, 6), Gr(3, 6), SpGr(1, 3), SpGr(2, 3), SpGr(3, 3),
+        SpGr(2, 4), SpGr(4, 4), Fl(1, 2, 4), Gr(2, 8),
+    )
+    for space in spaces:
+        omega = space.omega()
+        lifts = [shortest_lift(lam, omega, space.weyl_type) for lam in space.strings()]
+        parabolic = parabolic_generators(space)
+        for mu in space.strings():
+            sigma = shortest_lift(mu, omega, space.weyl_type)
+            table = weyl._subword_column(sigma, parabolic)
+            full = full_subword_table(sigma)
+            assert table == {w: full[w] for w in lifts if w in full}, (str(space), mu.compact())
+            assert len(table) <= len(lifts)
+
+
 def test_restriction_examples():
     gr = Gr(1, 2)
     omega = gr.omega()
@@ -241,15 +395,15 @@ def test_backend_disagreement_raises(monkeypatch):
     space = Gr(2, 4)
     mu = parse("1100")
     perturbed_lift = shortest_lift(parse("0101"), space.omega(), "A")
-    real_table = weyl._subword_table
+    real_column = weyl._subword_column
 
-    def perturbed_table(sigma, weights=None):
-        table = dict(real_table(sigma, weights))
+    def perturbed_column(sigma, parabolic, weights=None):
+        table = dict(real_column(sigma, parabolic, weights))
         table[perturbed_lift] = table.get(perturbed_lift, Polynomial.zero()) + 1
         return table
 
     weyl._restrictions_at.cache_clear()
-    monkeypatch.setattr(weyl, "_subword_table", perturbed_table)
+    monkeypatch.setattr(weyl, "_subword_column", perturbed_column)
     try:
         with pytest.raises(RuntimeError, match=r"0101\|1100 on Gr\(2,4\)"):
             restriction(space.omega(), mu, space)
