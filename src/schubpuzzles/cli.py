@@ -120,7 +120,7 @@ def _cmd_restriction_at_point(args) -> int:
     for name, s in (("--lambda", lam), ("--mu", mu)):
         if len(s) != space.rank:
             raise ValueError(f"{name} must have length {space.rank} on {space}")
-        if s not in space.strings():
+        if s not in space:
             raise ValueError(f"{name} {s.compact()} does not index a class on {space}")
     value = restriction(lam, mu, space)
     if args.format == "json":

@@ -211,6 +211,9 @@ class Gr:
     def strings(self) -> list[LabelString]:
         return strings_with_content(self.m, (self.k, 0, self.m - self.k))
 
+    def __contains__(self, s: LabelString) -> bool:
+        return s.content() == (self.k, 0, self.m - self.k)
+
     def __str__(self) -> str:
         return f"Gr({self.k},{self.m})"
 
@@ -237,6 +240,9 @@ class SpGr:
 
     def strings(self) -> list[LabelString]:
         return spgr_strings(self.k, self.n)
+
+    def __contains__(self, s: LabelString) -> bool:
+        return len(s) == self.n and s.count(Label.TEN) == self.n - self.k
 
     def __str__(self) -> str:
         return f"SpGr({self.k},{self.n})"
@@ -269,6 +275,9 @@ class Fl:
 
     def strings(self) -> list[LabelString]:
         return strings_with_content(self.m, (self.j, self.k - self.j, self.m - self.k))
+
+    def __contains__(self, s: LabelString) -> bool:
+        return s.content() == (self.j, self.k - self.j, self.m - self.k)
 
     def __str__(self) -> str:
         return f"Fl({self.j},{self.k},{self.m})"

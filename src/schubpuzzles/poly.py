@@ -4,19 +4,24 @@ This is the coefficient ring for everything else in the package: torus
 weights y1, y2, ... and the formal parameters u1, u2, u3 used by the
 matrix-identity suite.  Coefficients are arbitrary-precision ints, terms
 are kept in a canonical form (no zero coefficients), and two polynomials
-are equal exactly when their term dictionaries are equal.  Serialization
-orders terms by graded lexicographic order on variable indices so that
-all text and JSON output is deterministic.
+are equal exactly when their term dictionaries are equal.
 
-Internally a monomial is packed into one integer, 16 bits of exponent per
-registered variable, so monomial multiplication is integer addition.  The
-16-bit field bounds a single exponent by 65535, far beyond anything a
-desk-scale computation produces.
+A monomial is packed into one integer, 16 bits of exponent per variable in
+registration order, so monomial multiplication is integer addition.  Every
+polynomial has total degree at most 65535, which bounds every field: it
+carries an upper bound on its degree, and a product that would pass 65535
+raises ValueError instead of carrying into the next variable's field.
+
+Text and JSON output list terms in graded lexicographic order over the
+variables in `var_key` order (y2 before y10), the same in any process.
+Each term is read once: its exponents in variable order, below its total
+degree, form one integer key, and sorting on that key descending is grlex.
 """
 
 from __future__ import annotations
 
 import re
+from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
 # The public monomial form: ((variable, exponent), ...) sorted by variable,
@@ -51,29 +56,27 @@ def _var_slot(name: str) -> int:
     return slot
 
 
-def _pack(powers: Mapping[str, int]) -> int:
-    packed = 0
+def _pack(powers: Mapping[str, int]) -> tuple[int, int]:
+    """The packed monomial and its total degree."""
+    packed = degree = 0
     for v, e in powers.items():
         if e < 0:
             raise ValueError(f"negative exponent for {v}")
-        if e > _MASK:
-            raise ValueError(f"exponent {e} for {v} exceeds the packing bound")
         if e:
             packed += e << (_SHIFT * _var_slot(v))
-    return packed
+            degree += e
+    if degree > _MASK:
+        raise ValueError(f"monomial degree {degree} exceeds the packing bound {_MASK}")
+    return packed, degree
 
 
-def _unpack(packed: int) -> Monomial:
-    out = []
-    slot = 0
-    while packed:
-        e = packed & _MASK
-        if e:
-            out.append((_VAR_NAMES[slot], e))
-        packed >>= _SHIFT
-        slot += 1
-    out.sort(key=lambda ve: var_key(ve[0]))
-    return tuple(out)
+def _slot_order(monomials: Iterable[int]) -> list[tuple[int, str]]:
+    """(bit shift, variable) of every slot the monomials use, in var_key order."""
+    used = 0
+    for packed in monomials:
+        used |= packed
+    slots = [(_SHIFT * i, v) for i, v in enumerate(_VAR_NAMES) if (used >> (_SHIFT * i)) & _MASK]
+    return sorted(slots, key=lambda slot: var_key(slot[1]))
 
 
 def _mono_degree(packed: int) -> int:
@@ -87,51 +90,45 @@ def _mono_degree(packed: int) -> int:
 class Polynomial:
     """An immutable integer polynomial in named variables."""
 
-    __slots__ = ("_terms", "_hash")
+    # _deg is an upper bound on the total degree, at most _MASK
+    __slots__ = ("_terms", "_hash", "_deg")
 
-    def __init__(self, terms=None):
-        packed: dict[int, int] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if not coeff:
-                    continue
-                if isinstance(mono, int):
-                    key = mono
-                else:
-                    key = _pack(dict(mono))
-                packed[key] = packed.get(key, 0) + coeff
-                if not packed[key]:
-                    del packed[key]
-        self._terms = packed
-        self._hash: int | None = None
+    def __init__(self, terms: Mapping[Monomial, int] | None = None):
+        # public constructor from the terms() form; the package itself builds
+        # through _raw, monomial and from_machine
+        built = Polynomial.from_machine((c, dict(mono)) for mono, c in (terms or {}).items())
+        self._terms, self._hash, self._deg = built._terms, None, built._deg
 
     @classmethod
-    def _raw(cls, packed: dict[int, int]) -> "Polynomial":
-        """Internal: adopt an already-clean packed term dict."""
+    def _raw(cls, packed: dict[int, int], bound: int) -> "Polynomial":
+        """Internal: adopt an already-clean packed term dict whose total
+        degree is at most bound."""
         p = cls.__new__(cls)
         p._terms = packed
         p._hash = None
+        p._deg = bound
         return p
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def zero(cls) -> "Polynomial":
-        return cls._raw({})
+        return cls._raw({}, 0)
 
     @classmethod
     def integer(cls, n: int) -> "Polynomial":
-        return cls._raw({0: n} if n else {})
+        return cls._raw({0: n} if n else {}, 0)
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
-        return cls._raw({1 << (_SHIFT * _var_slot(name)): 1})
+        return cls._raw({1 << (_SHIFT * _var_slot(name)): 1}, 1)
 
     @classmethod
     def monomial(cls, coeff: int, powers: Mapping[str, int]) -> "Polynomial":
         if not coeff:
             return cls.zero()
-        return cls._raw({_pack(powers): coeff})
+        packed, degree = _pack(powers)
+        return cls._raw({packed: coeff}, degree)
 
     # -- inspection ----------------------------------------------------
 
@@ -140,18 +137,14 @@ class Polynomial:
         return not self._terms
 
     def terms(self) -> dict[Monomial, int]:
-        return {_unpack(m): c for m, c in self._terms.items()}
+        order = _slot_order(self._terms)
+        return {
+            tuple((v, e) for shift, v in order if (e := (m >> shift) & _MASK)): c
+            for m, c in self._terms.items()
+        }
 
     def variables(self) -> list[str]:
-        seen = set()
-        for packed in self._terms:
-            slot = 0
-            while packed:
-                if packed & _MASK:
-                    seen.add(_VAR_NAMES[slot])
-                packed >>= _SHIFT
-                slot += 1
-        return sorted(seen, key=var_key)
+        return [v for _, v in _slot_order(self._terms)]
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""
@@ -187,12 +180,13 @@ class Polynomial:
                 result[mono] = new
             else:
                 del result[mono]
-        return Polynomial._raw(result)
+        bound = self._deg if self._deg >= other._deg else other._deg
+        return Polynomial._raw(result, bound)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._raw({m: -c for m, c in self._terms.items()})
+        return Polynomial._raw({m: -c for m, c in self._terms.items()}, self._deg)
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -207,6 +201,13 @@ class Polynomial:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        bound = self._deg + other._deg
+        if bound > _MASK:
+            # the bounds may be loose after cancellation; over Z the degree
+            # of a product is the sum of the degrees
+            bound = self.degree() + other.degree()
+            if bound > _MASK:
+                raise ValueError(f"product degree {bound} exceeds the packing bound {_MASK}")
         if len(self._terms) < len(other._terms):
             small, large = self._terms, other._terms
         else:
@@ -220,7 +221,7 @@ class Polynomial:
                     result[mono] = new
                 else:
                     del result[mono]
-        return Polynomial._raw(result)
+        return Polynomial._raw(result, bound)
 
     __rmul__ = __mul__
 
@@ -232,8 +233,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __eq__(self, other) -> bool:
@@ -288,25 +290,36 @@ class Polynomial:
                     result[key] = new
                 else:
                     del result[key]
-        return Polynomial._raw(result)
+        # images of degree at most one never raise the degree
+        return Polynomial._raw(result, self._deg)
 
     # -- serialization ---------------------------------------------------
 
-    def _sorted_terms(self) -> list[tuple[Monomial, int]]:
-        """Terms in graded lexicographic order (highest degree first)."""
-
-        def key(item):
-            # _unpack lists variables in var_key order; at the first place two
-            # monomials of one degree differ, the earlier variable or the
-            # larger exponent sorts first, which is grlex
-            mono, _ = item
-            return (-sum(e for _, e in mono), [(var_key(v), -e) for v, e in mono])
-
-        return sorted(((_unpack(m), c) for m, c in self._terms.items()), key=key)
+    def machine(self) -> list:
+        """JSON-ready form: [coefficient, {variable: exponent}] per term,
+        variables in var_key order, terms in graded lexicographic order
+        (highest degree first)."""
+        order = _slot_order(self._terms)
+        width = _SHIFT * len(order)
+        keyed = []
+        for packed, coeff in self._terms.items():
+            key = degree = 0
+            powers = {}
+            for shift, v in order:
+                e = (packed >> shift) & _MASK
+                key = (key << _SHIFT) | e
+                if e:
+                    powers[v] = e
+                    degree += e
+            # grlex: higher degree first, then the larger exponent at the
+            # first variable where two monomials differ
+            keyed.append(((degree << width) | key, [coeff, powers]))
+        keyed.sort(key=itemgetter(0), reverse=True)
+        return [term for _, term in keyed]
 
     @staticmethod
-    def _format_term(mono: Monomial, coeff: int) -> str:
-        factors = [v if e == 1 else f"{v}^{e}" for v, e in mono]
+    def _format_term(coeff: int, powers: dict[str, int]) -> str:
+        factors = [v if e == 1 else f"{v}^{e}" for v, e in powers.items()]
         if not factors:
             return str(coeff)
         body = "*".join(factors)
@@ -320,8 +333,8 @@ class Polynomial:
         if not self._terms:
             return "0"
         parts = []
-        for i, (mono, coeff) in enumerate(self._sorted_terms()):
-            text = self._format_term(mono, coeff)
+        for i, (coeff, powers) in enumerate(self.machine()):
+            text = self._format_term(coeff, powers)
             if i == 0:
                 parts.append(text)
             elif text.startswith("-"):
@@ -333,17 +346,15 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"Polynomial({str(self)!r})"
 
-    def machine(self) -> list:
-        """JSON-ready form: list of [coefficient, {var: power}] in canonical order."""
-        return [[coeff, {v: e for v, e in mono}] for mono, coeff in self._sorted_terms()]
-
     @classmethod
     def from_machine(cls, data: Iterable) -> "Polynomial":
         terms: dict[int, int] = {}
+        bound = 0
         for coeff, powers in data:
-            mono = _pack(powers)
+            mono, degree = _pack(powers)
+            bound = max(bound, degree)
             terms[mono] = terms.get(mono, 0) + int(coeff)
-        return cls(terms)
+        return cls._raw({m: c for m, c in terms.items() if c}, bound)
 
     def __reduce__(self):
         # packed monomials index this process's variable registration order,
@@ -376,14 +387,15 @@ class Polynomial:
                 return None
             q_coeff = r_coeff // d_coeff
             quotient[q_mono] = quotient.get(q_mono, 0) + q_coeff
-            piece = Polynomial._raw({q_mono: q_coeff}) * divisor
+            piece = Polynomial._raw({q_mono: q_coeff}, _mono_degree(q_mono)) * divisor
             for mono, coeff in piece._terms.items():
                 new = remainder.get(mono, 0) - coeff
                 if new:
                     remainder[mono] = new
                 else:
                     remainder.pop(mono, None)
-        return Polynomial._raw(quotient)
+        # the quotient's degree is at most the dividend's
+        return Polynomial._raw(quotient, self._deg)
 
 
 def y(i: int) -> Polynomial:

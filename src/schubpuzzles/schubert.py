@@ -90,15 +90,17 @@ def _half(n: int):
 
 
 def _expansion(space, column: dict) -> ExpansionResult:
-    """The nonzero entries of a reverse `transfer` column at the strings of
-    space, with their puzzle counts."""
+    """The nonzero entries of a reverse `transfer` column, with their puzzle
+    counts, in the lex order of `space.strings()`.  Every entry must index a
+    class of space."""
     terms: dict[LabelString, Polynomial] = {}
     counts: dict[LabelString, int] = {}
-    for nu in space.strings():
-        coeff = column.get(nu.labels)
-        if coeff is not None:
-            terms[nu] = coeff
-            counts[nu] = column.counts[nu.labels]
+    for labels in sorted(column):
+        nu = LabelString(labels)
+        if nu not in space:
+            raise RuntimeError(f"the contraction reached {nu.compact()}, not a class on {space}")
+        terms[nu] = column[labels]
+        counts[nu] = column.counts[labels]
     return ExpansionResult(space, terms, counts)
 
 
@@ -210,12 +212,13 @@ def crosscheck_restriction(k: int, n: int) -> Report:
     ambient = Gr(k, 2 * n)
     target = SpGr(k, n)
     weights = tuple(specialize_to_half_torus(y(i), n) for i in range(1, 2 * n + 1))
+    sigmas = [(sigma, sigma.double()) for sigma in target.strings()]
     checked = failed = 0
     first = None
     for lam in ambient.strings():
         expansion = restrict_to_spgr(lam, k, n).terms
-        for sigma in target.strings():
-            lhs = restriction(lam, sigma.double(), ambient, weights)
+        for sigma, doubled in sigmas:
+            lhs = restriction(lam, doubled, ambient, weights)
             rhs = Polynomial.zero()
             for nu, coeff in expansion.items():
                 rhs = rhs + coeff * restriction(nu, sigma, target)

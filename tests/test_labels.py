@@ -1,6 +1,7 @@
 import pytest
 
 from schubpuzzles.labels import (
+    LABELS,
     Fl,
     Gr,
     Label,
@@ -148,3 +149,16 @@ def test_space_strings():
     assert len(Gr(2, 4).strings()) == 6
     assert len(Fl(1, 2, 3).strings()) == 6
     assert len(SpGr(1, 2).strings()) == 4
+
+
+def test_space_membership_is_exactly_its_strings():
+    import itertools
+
+    for m in range(7):
+        spaces = [Gr(k, m) for k in range(m + 1)] + [SpGr(k, m) for k in range(m + 1)]
+        spaces += [Fl(j, k, m) for k in range(m + 1) for j in range(k + 1)]
+        words = [LabelString(w) for w in itertools.product(LABELS, repeat=m)]
+        words += [LabelString(w) for w in itertools.product(LABELS, repeat=m + 1)]
+        for space in spaces:
+            strings = set(space.strings())
+            assert {w for w in words if w in space} == strings, space

@@ -1,3 +1,4 @@
+import json
 import os
 import pathlib
 import pickle
@@ -7,9 +8,59 @@ import sys
 
 import pytest
 import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import schubpuzzles
 from schubpuzzles.poly import Polynomial, u, y, var_key
+
+# registered in this order in a fresh interpreter, which is not var_key order
+NAMES = ["y10", "u2", "y3", "y1", "u1", "y2"]
+GENS = sorted(NAMES, key=var_key)
+SYMBOLS = dict(zip(GENS, sympy.symbols(GENS)))
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+
+# a polynomial as a list of (coefficient, {variable: exponent}) terms
+specs = st.lists(
+    st.tuples(
+        st.integers(-4, 4),
+        st.dictionaries(st.sampled_from(NAMES), st.integers(0, 3), max_size=3),
+    ),
+    max_size=6,
+)
+
+
+def build(spec) -> Polynomial:
+    return sum((Polynomial.monomial(c, powers) for c, powers in spec), Polynomial.zero())
+
+
+def oracle(spec) -> sympy.Poly:
+    """The same polynomial, built by sympy alone."""
+    expr = sum(
+        (c * sympy.Mul(*(SYMBOLS[v] ** e for v, e in powers.items())) for c, powers in spec),
+        sympy.Integer(0),
+    )
+    return sympy.Poly(expr, *SYMBOLS.values())
+
+
+def to_sympy(p: Polynomial) -> sympy.Poly:
+    return oracle([(c, dict(mono)) for mono, c in p.terms().items()])
+
+
+def grlex_forms(spec) -> tuple[str, list]:
+    """str() and machine() of the spec's polynomial, terms in sympy's grlex
+    order over the generators in var_key order; machine() as
+    (coefficient, [(variable, exponent), ...]) so that key order is checked."""
+    poly = oracle(spec)
+    if poly.is_zero:
+        return "0", []
+    grlex = [(int(c), [(v, e) for v, e in zip(GENS, exps) if e])
+             for exps, c in poly.terms(order="grlex")]
+    pieces = [str(Polynomial.monomial(c, dict(powers))) for c, powers in grlex]
+    text = pieces[0] + "".join(
+        f" - {t[1:]}" if t.startswith("-") else f" + {t}" for t in pieces[1:]
+    )
+    return text, grlex
 
 
 def rand_poly(rng, nvars=3, nterms=4, maxdeg=2):
@@ -80,27 +131,91 @@ def test_text_form_examples():
     assert str(Polynomial.integer(1)) == "1"
 
 
-def test_text_term_order_is_sympy_grlex():
-    # gens in var_key order, so sympy's grlex is the order str() promises
-    names = sorted(["y1", "y2", "y3", "y10", "u1", "u2"], key=var_key)
-    symbols = dict(zip(names, sympy.symbols(names)))
+@settings(PROPERTY, max_examples=300)
+@given(specs)
+def test_text_term_order_is_sympy_grlex(spec):
+    # gens in var_key order, so sympy's grlex is the order str() and
+    # machine() promise
+    p = build(spec)
+    text, machine = grlex_forms(spec)
+    assert str(p) == text
+    assert [(c, list(powers.items())) for c, powers in p.machine()] == machine
+
+
+def test_term_order_is_independent_of_registration_order():
+    # slots are numbered in registration order; output must follow var_key
     rng = random.Random(20261018)
-    for _ in range(300):
-        p = Polynomial.zero()
-        for _ in range(rng.randint(1, 6)):
-            powers = {rng.choice(names): rng.randint(0, 3) for _ in range(rng.randint(0, 3))}
-            p = p + Polynomial.monomial(rng.choice([-3, -1, 1, 2]), powers)
-        if p.is_zero:
-            continue
-        expr = sum(
-            c * sympy.Mul(*(symbols[v] ** e for v, e in mono)) for mono, c in p.terms().items()
-        )
-        grlex = sympy.Poly(expr, *symbols.values()).terms(order="grlex")
-        pieces = [str(Polynomial.monomial(int(c), dict(zip(names, exps)))) for exps, c in grlex]
-        expected = pieces[0] + "".join(
-            f" - {t[1:]}" if t.startswith("-") else f" + {t}" for t in pieces[1:]
-        )
-        assert str(p) == expected
+    spec_list = [
+        [(rng.choice([-3, -1, 1, 2]),
+          {rng.choice(NAMES): rng.randint(0, 3) for _ in range(rng.randint(0, 3))})
+         for _ in range(rng.randint(1, 6))]
+        for _ in range(300)
+    ]
+    printed = _run_fresh(
+        "import json, sys\n"
+        "from schubpuzzles.poly import Polynomial\n"
+        f"for name in {NAMES!r}:\n"
+        "    Polynomial.variable(name)\n"
+        "polys = [sum((Polynomial.monomial(c, p) for c, p in spec), Polynomial.zero())\n"
+        "         for spec in json.load(sys.stdin)]\n"
+        "json.dump([[str(p), p.machine()] for p in polys], sys.stdout)\n",
+        stdin=json.dumps(spec_list).encode(),
+    )
+    for spec, (text, machine) in zip(spec_list, json.loads(printed), strict=True):
+        assert (text, [(c, list(powers.items())) for c, powers in machine]) == grlex_forms(spec)
+
+
+@PROPERTY
+@given(specs, specs, specs, st.integers(0, 3))
+def test_ring_operations_match_sympy(a, b, c, n):
+    pa, pb, pc = build(a), build(b), build(c)
+    sa, sb, sc = oracle(a), oracle(b), oracle(c)
+    assert to_sympy(pa) == sa
+    assert to_sympy(pa + pb) == sa + sb
+    assert to_sympy(pa - pb) == sa - sb
+    assert to_sympy(-pa) == -sa
+    assert to_sympy(pa * pb) == sa * sb
+    assert to_sympy(pa ** n) == sa ** n
+    assert (pa == pb) == (sa == sb)
+    assert (pa * pb) * pc == pa * (pb * pc)
+    assert pa * (pb + pc) == pa * pb + pa * pc
+
+
+# a degree-one image: constant + sum of coefficient * variable
+linear_forms = st.tuples(
+    st.integers(-3, 3), st.dictionaries(st.sampled_from(NAMES), st.integers(-2, 2), max_size=2)
+)
+
+
+@PROPERTY
+@given(specs, st.dictionaries(st.sampled_from(NAMES), linear_forms, max_size=4))
+def test_substitute_matches_sympy(spec, forms):
+    images = {}
+    sympy_images = {}
+    for v, (const, coeffs) in forms.items():
+        linear = [(const, {})] + [(k, {w: 1}) for w, k in coeffs.items()]
+        images[v] = build(linear) if coeffs else const
+        sympy_images[SYMBOLS[v]] = oracle(linear).as_expr()
+    got = build(spec).substitute(images)
+    expected = oracle(spec).as_expr().subs(sympy_images, simultaneous=True)
+    assert to_sympy(got) == sympy.Poly(expected, *SYMBOLS.values())
+
+
+@PROPERTY
+@given(specs, specs)
+def test_divide_exact_matches_sympy(a, b):
+    pa, pb = build(a), build(b)
+    assume(not pb.is_zero)
+    assert (pa * pb).divide_exact(pb) == pa
+    # b divides a over Z exactly when the remainder over Q is zero and the
+    # quotient has integer coefficients ({b} is a Groebner basis of (b))
+    quotient, remainder = oracle(a).set_domain(sympy.QQ).div(oracle(b).set_domain(sympy.QQ))
+    got = pa.divide_exact(pb)
+    if remainder.is_zero and all(c.is_integer for c in quotient.coeffs()):
+        assert got is not None
+        assert to_sympy(got).as_expr() == quotient.as_expr()
+    else:
+        assert got is None
 
 
 def test_machine_round_trip():
@@ -160,3 +275,22 @@ def test_power():
     assert (y(1) + 1) ** 3 == y(1) ** 3 + 3 * y(1) ** 2 + 3 * y(1) + 1
     with pytest.raises(ValueError):
         y(1) ** -1
+
+
+def test_degree_is_bounded_by_the_exponent_field():
+    # a 16-bit exponent field must never carry into the next variable's
+    with pytest.raises(ValueError, match="packing bound"):
+        Polynomial.monomial(1, {"y1": 65535}) * y(1)
+    top = y(1) ** 65535
+    assert top == Polynomial.monomial(1, {"y1": 65535})
+    assert str(top) == "y1^65535"
+    with pytest.raises(ValueError, match="packing bound"):
+        top * y(2)
+    with pytest.raises(ValueError, match="packing bound"):
+        Polynomial.monomial(1, {"y1": 40000, "y2": 30000})
+    with pytest.raises(ValueError, match="packing bound"):
+        Polynomial.from_machine([[1, {"y1": 65536}]])
+    # after cancellation the carried bound exceeds the degree; a product
+    # whose true degree fits is still allowed
+    cancelled = (y(1) ** 40000 + 1) - y(1) ** 40000
+    assert cancelled * y(2) ** 30000 == y(2) ** 30000

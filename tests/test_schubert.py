@@ -2,8 +2,9 @@ import time
 
 import pytest
 
-from schubpuzzles.diagram import enumerate_labelings
-from schubpuzzles.labels import Fl, Gr, LabelString, SpGr
+from schubpuzzles import schubert
+from schubpuzzles.diagram import Column, enumerate_labelings
+from schubpuzzles.labels import Fl, Gr, Label, LabelString, SpGr
 from schubpuzzles.poly import Polynomial, y
 from schubpuzzles.schubert import (
     ExpansionResult,
@@ -55,6 +56,38 @@ def test_restrict_support_has_fixed_ten_count():
                 for nu in restrict_to_spgr(lam, k, n).terms:
                     n0, n10, n1 = nu.content()
                     assert n10 == n - k
+
+
+def test_expansion_keys_follow_the_space_order():
+    for n in range(1, 4):
+        for k in range(0, n + 1):
+            space = SpGr(k, n)
+            for lam in Gr(k, 2 * n).strings():
+                terms = restrict_to_spgr(lam, k, n).terms
+                assert list(terms) == [nu for nu in space.strings() if nu in terms]
+    for lam in Gr(1, 4).strings():
+        for mu in Gr(2, 4).strings():
+            terms = two_step_product(lam, mu, 4).terms
+            assert list(terms) == [nu for nu in Fl(1, 2, 4).strings() if nu in terms]
+
+
+def test_expansion_rejects_a_column_entry_outside_the_space(monkeypatch):
+    real_transfer = schubert.transfer
+
+    def transfer_with_stray_entry(diagram, boundary, reverse=False):
+        real = real_transfer(diagram, boundary, reverse)
+        column = Column(real)
+        column.counts = dict(real.counts)
+        stray = (Label.ONE,) * len(next(iter(real)))
+        column[stray] = y(1)
+        column.counts[stray] = 1
+        return column
+
+    monkeypatch.setattr(schubert, "transfer", transfer_with_stray_entry)
+    with pytest.raises(RuntimeError, match="reached 111, not a class on Fl"):
+        two_step_product(parse("011"), parse("001"), 3)
+    with pytest.raises(RuntimeError, match="not a class on SpGr"):
+        restrict_to_spgr(parse("011101"), 2, 3)
 
 
 def test_product_golden():
