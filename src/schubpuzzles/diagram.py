@@ -27,22 +27,20 @@ Three families are built here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .labels import LABELS, Label, LabelString
+from .labels import LABELS, Label, LabelString, Record
 from .poly import Polynomial, y
 from .tensor import SparseMap, k_blue, k_red, r_red_green, r_same_colour, u_split
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     ident: int
     colour: str  # "G", "R" or "B"
     parameter: Polynomial
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     kind: str  # "crossing", "bounce" or "trivalent"
     matrix: SparseMap
     in_edges: tuple[int, ...]
@@ -50,14 +48,11 @@ class Vertex:
     position: int  # frontier position of in_edges[0] when the vertex was added
 
 
-@dataclass
-class ScatteringDiagram:
-    name: str
-    edges: list[Edge]
-    vertices: list[Vertex]  # topological order: inputs of each vertex exist before it
-    input_edges: tuple[int, ...]
-    output_edges: tuple[int, ...]
-    _transfer_cache: dict = field(default_factory=dict, repr=False)  # (reverse, boundary) -> Column
+class ScatteringDiagram(Record):
+    # edges: list[Edge]; vertices: list[Vertex], in topological order (the
+    # inputs of each vertex exist before it); input_edges, output_edges:
+    # tuples of edge idents; _transfer_cache: (reverse, boundary) -> Column
+    __slots__ = ("name", "edges", "vertices", "input_edges", "output_edges", "_transfer_cache")
 
     @property
     def n_inputs(self) -> int:
@@ -148,6 +143,7 @@ class _Builder:
             self.vertices,
             tuple(self.inputs),
             tuple(self.frontier),
+            {},
         )
 
 
@@ -331,8 +327,7 @@ def evaluate_entry(diagram: ScatteringDiagram, out_labels, in_labels) -> Polynom
 
 # -- explicit enumeration --------------------------------------------------
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(NamedTuple):
     """One consistent edge labeling of a diagram (dually, one puzzle)."""
 
     diagram: ScatteringDiagram

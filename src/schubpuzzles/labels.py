@@ -9,7 +9,7 @@ written as the digit '2' so that strings stay one column per letter.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 
@@ -188,16 +188,51 @@ def project_flag_string(s: LabelString, which: str) -> LabelString:
     raise ValueError(f"which must be 'j' or 'k', got {which!r}")
 
 
-@dataclass(frozen=True)
-class Gr:
+class Record:
+    """An immutable value whose fields are its __slots__, in the order of
+    its constructor's arguments.  It is equal to, and hashed with, values
+    of its own class only, so Gr(2,4) and SpGr(2,4) are distinct cache
+    keys.  Assigning or deleting a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields(self) == other._fields(other)
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Gr(Record):
     """The Grassmannian of k-planes in an m-dimensional space."""
 
-    k: int
-    m: int
+    __slots__ = ("k", "m")
 
-    def __post_init__(self):
-        if not 0 <= self.k <= self.m:
-            raise ValueError(f"need 0 <= k <= m, got Gr({self.k},{self.m})")
+    def __init__(self, k: int, m: int):
+        if not 0 <= k <= m:
+            raise ValueError(f"need 0 <= k <= m, got Gr({k},{m})")
+        super().__init__(k, m)
 
     weyl_type = "A"
 
@@ -218,16 +253,15 @@ class Gr:
         return f"Gr({self.k},{self.m})"
 
 
-@dataclass(frozen=True)
-class SpGr:
+class SpGr(Record):
     """Isotropic k-planes in a 2n-dimensional symplectic space."""
 
-    k: int
-    n: int
+    __slots__ = ("k", "n")
 
-    def __post_init__(self):
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"need 0 <= k <= n, got SpGr({self.k},{self.n})")
+    def __init__(self, k: int, n: int):
+        if not 0 <= k <= n:
+            raise ValueError(f"need 0 <= k <= n, got SpGr({k},{n})")
+        super().__init__(k, n)
 
     weyl_type = "C"
 
@@ -248,17 +282,15 @@ class SpGr:
         return f"SpGr({self.k},{self.n})"
 
 
-@dataclass(frozen=True)
-class Fl:
+class Fl(Record):
     """The two-step flag manifold of nested j- and k-planes in m-space."""
 
-    j: int
-    k: int
-    m: int
+    __slots__ = ("j", "k", "m")
 
-    def __post_init__(self):
-        if not 0 <= self.j <= self.k <= self.m:
-            raise ValueError(f"need 0 <= j <= k <= m, got Fl({self.j},{self.k},{self.m})")
+    def __init__(self, j: int, k: int, m: int):
+        if not 0 <= j <= k <= m:
+            raise ValueError(f"need 0 <= j <= k <= m, got Fl({j},{k},{m})")
+        super().__init__(j, k, m)
 
     weyl_type = "A"
 

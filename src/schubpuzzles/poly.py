@@ -160,6 +160,10 @@ class Polynomial:
             return self._terms[0]
         return None
 
+    def constant_term(self) -> int:
+        """The coefficient of the constant monomial: the value at 0."""
+        return self._terms.get(0, 0)
+
     # -- ring operations -----------------------------------------------
 
     def _coerce(self, other) -> "Polynomial":

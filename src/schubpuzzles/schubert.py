@@ -6,34 +6,31 @@ coefficients to the reduced-subword oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .diagram import build_half_diagram, build_triangle_diagram, enumerate_labelings, transfer
-from .labels import Fl, Gr, LabelString, SpGr, project_flag_string
+from .labels import Fl, Gr, LabelString, Record, SpGr, project_flag_string
 from .poly import Polynomial, y
 from .weyl import positive_roots, restriction
 
 
-@dataclass
-class ExpansionResult:
+class ExpansionResult(Record):
     """An expansion into the Schubert basis of the target space: exact
     polynomial coefficients plus the number of contributing puzzles."""
 
-    space: object
-    terms: dict[LabelString, Polynomial]
-    puzzle_counts: dict[LabelString, int]
+    # space; terms: {LabelString: Polynomial}; puzzle_counts: {LabelString: int}
+    __slots__ = ("space", "terms", "puzzle_counts")
 
     def nonequivariant(self) -> dict[LabelString, int]:
-        """Set every torus weight to zero; survivors must be positive counts."""
+        """Set every torus weight to zero, which leaves each coefficient's
+        constant term; survivors must be positive counts."""
         out: dict[LabelString, int] = {}
         for nu, coeff in self.terms.items():
-            zeroed = coeff.substitute({v: 0 for v in coeff.variables()})
-            value = zeroed.constant_value()
-            if value is None or value < 0:
+            value = coeff.constant_term()
+            if value < 0:
                 raise RuntimeError(
                     f"nonequivariant coefficient of {nu.compact()} is not a "
-                    f"nonnegative integer: {zeroed}"
+                    f"nonnegative integer: {value}"
                 )
             if value:
                 out[nu] = value
@@ -54,14 +51,11 @@ class ExpansionResult:
         }
 
 
-@dataclass
-class Report:
+class Report(Record):
     """Outcome of an exhaustive identity sweep."""
 
-    description: str
-    checked: int
-    failed: int
-    first_failure: str | None
+    # description: str; checked, failed: int; first_failure: str | None
+    __slots__ = ("description", "checked", "failed", "first_failure")
 
     @property
     def passed(self) -> bool:
@@ -243,19 +237,20 @@ def crosscheck_product(j: int, k: int, n: int) -> Report:
     gr_j, gr_k = Gr(j, n), Gr(k, n)
     lams = gr_j.strings()
     mus = gr_k.strings()
-    sigmas = space.strings()
+    sigmas = [
+        (sigma, project_flag_string(sigma, "j"), project_flag_string(sigma, "k"))
+        for sigma in space.strings()
+    ]
     checked = failed = 0
     first = None
     for lam in lams:
         for mu in mus:
             expansion = two_step_product(lam, mu, n).terms
-            for sigma in sigmas:
+            for sigma, sigma_j, sigma_k in sigmas:
                 lhs = Polynomial.zero()
                 for nu, coeff in expansion.items():
                     lhs = lhs + coeff * restriction(nu, sigma, space)
-                rhs = restriction(lam, project_flag_string(sigma, "j"), gr_j) * restriction(
-                    mu, project_flag_string(sigma, "k"), gr_k
-                )
+                rhs = restriction(lam, sigma_j, gr_j) * restriction(mu, sigma_k, gr_k)
                 checked += 1
                 if lhs != rhs:
                     failed += 1

@@ -29,27 +29,24 @@ dropped state never grows into a class of the space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import diagram
-from .labels import Label, LabelString, Space
+from .labels import Label, LabelString, Record, Space
 from .poly import Polynomial, y
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group_type: str  # "A" or "C"
-    images: tuple[int, ...]
+class GroupElement(Record):
+    __slots__ = ("group_type", "images")  # "A" or "C"; tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.images)
-        if self.group_type not in ("A", "C"):
-            raise ValueError(f"unknown group type {self.group_type!r}")
-        if sorted(abs(x) for x in self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a signed permutation: {self.images}")
-        if self.group_type == "A" and any(x < 0 for x in self.images):
+    def __init__(self, group_type: str, images: tuple[int, ...]):
+        if group_type not in ("A", "C"):
+            raise ValueError(f"unknown group type {group_type!r}")
+        if sorted(abs(x) for x in images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a signed permutation: {images}")
+        if group_type == "A" and any(x < 0 for x in images):
             raise ValueError("type A permutations have no negative entries")
+        super().__init__(group_type, images)
 
     @classmethod
     def identity(cls, group_type: str, rank: int) -> "GroupElement":
@@ -68,7 +65,7 @@ class GroupElement:
 
     def _product(self, images: tuple[int, ...]) -> "GroupElement":
         # a generator swaps two images or values, or negates one, which keeps
-        # a signed permutation signed, so products skip __post_init__'s check
+        # a signed permutation signed, so products skip __init__'s check
         product = object.__new__(GroupElement)
         object.__setattr__(product, "group_type", self.group_type)
         object.__setattr__(product, "images", images)

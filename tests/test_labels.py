@@ -1,3 +1,6 @@
+import pickle
+import re
+
 import pytest
 
 from schubpuzzles.labels import (
@@ -137,12 +140,30 @@ def test_lex_order_alphabet():
 
 
 def test_space_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("need 0 <= k <= m, got Gr(3,2)")):
         Gr(3, 2)
+    with pytest.raises(ValueError, match=re.escape("need 0 <= k <= n, got SpGr(3,2)")):
+        SpGr(3, 2)
     with pytest.raises(ValueError):
         SpGr(4, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("need 0 <= j <= k <= m, got Fl(2,1,3)")):
         Fl(2, 1, 3)
+
+
+def test_spaces_are_distinct_immutable_values():
+    # spaces key the lru_caches of weyl, so Gr(k, n) and SpGr(k, n), whose
+    # fields are equal, must stay unequal and distinct keys
+    for n in range(5):
+        for k in range(n + 1):
+            gr, spgr = Gr(k, n), SpGr(k, n)
+            assert gr != spgr and spgr != gr
+            assert len({gr: "gr", spgr: "spgr"}) == 2
+            assert gr == Gr(k, n) and hash(gr) == hash(Gr(k, n))
+            for space in (gr, spgr, Fl(0, k, n)):
+                assert pickle.loads(pickle.dumps(space)) == space
+                with pytest.raises(AttributeError):
+                    space.k = k + 1
+                assert space.k == k
 
 
 def test_space_strings():

@@ -139,6 +139,33 @@ def test_nonequivariant():
     assert const.nonequivariant() == {parse("0"): 2}
 
 
+def test_nonequivariant_matches_substituting_zero():
+    # the oracle sets every torus weight to zero through substitute
+    def zeroed(expansion):
+        values = {
+            nu: c.substitute({v: 0 for v in c.variables()}).constant_value()
+            for nu, c in expansion.terms.items()
+        }
+        return {nu: value for nu, value in values.items() if value}
+
+    expansions = [
+        two_step_product(lam, mu, n)
+        for n in range(1, 5)
+        for j in range(n + 1)
+        for k in range(j, n + 1)
+        for lam in Gr(j, n).strings()
+        for mu in Gr(k, n).strings()
+    ]
+    expansions += [
+        restrict_to_spgr(lam, k, n)
+        for n in range(1, 4)
+        for k in range(n + 1)
+        for lam in Gr(k, 2 * n).strings()
+    ]
+    for e in expansions:
+        assert e.nonequivariant() == zeroed(e)
+
+
 def test_nonequivariant_counts_weightless_puzzles():
     for n in range(1, 4):
         for k in range(0, n + 1):

@@ -1,5 +1,7 @@
 import ast
 import pathlib
+import subprocess
+import sys
 
 import schubpuzzles
 
@@ -45,3 +47,17 @@ def test_memo_layers_are_fixed():
         and any(_is_memo_decorator(d) for d in node.decorator_list)
     }
     assert memoized == {"_triangle", "_half", "shortest_lift", "_restrictions_at"}
+
+
+def test_cli_import_loads_no_dataclasses():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize, and each
+    # @dataclass execs generated methods: a one-off CLI query pays both at
+    # every interpreter start-up
+    src = str(pathlib.Path(schubpuzzles.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import schubpuzzles.cli; "
+         "print('dataclasses' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "False\n"

@@ -166,6 +166,16 @@ def test_constructor_rejects_non_signed_permutations():
         GroupElement("B", (1, 2))
 
 
+def test_group_elements_are_immutable_values():
+    w = GroupElement("C", (2, -1, 3))
+    product = GroupElement("C", (1, 2, 3)).right_mult(1).right_mult(2).right_mult(3)
+    for element in (w, product):
+        with pytest.raises(AttributeError):
+            element.images = (1, 2, 3)
+    assert product == GroupElement("C", (2, 3, -1)) and hash(product) == hash(GroupElement("C", (2, 3, -1)))
+    assert GroupElement("A", (1, 2)) != GroupElement("C", (1, 2))
+
+
 def test_right_mult_equals_validated_constructor():
     # right_mult skips validation; w o s_i must still be the signed
     # permutation j -> w(s_i(j)), built here through the checking constructor
