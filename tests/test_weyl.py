@@ -172,7 +172,8 @@ def test_group_elements_are_immutable_values():
     for element in (w, product):
         with pytest.raises(AttributeError):
             element.images = (1, 2, 3)
-    assert product == GroupElement("C", (2, 3, -1)) and hash(product) == hash(GroupElement("C", (2, 3, -1)))
+    expected = GroupElement("C", (2, 3, -1))
+    assert product == expected and hash(product) == hash(expected)
     assert GroupElement("A", (1, 2)) != GroupElement("C", (1, 2))
 
 
