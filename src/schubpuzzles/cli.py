@@ -4,6 +4,12 @@ Subcommands: restrict, product, enumerate, restriction-at-point,
 verify-identities, crosscheck, duality.  Strings use the compact
 encoding (2 = the letter "10") unless --verbose-labels is given.
 Exit codes: 0 success, 1 validation error, 2 failed check.
+
+Every subcommand is one entry of ``_COMMANDS``.  A query whose first
+argument names a subcommand builds a parser with that subcommand alone,
+which parses, prints and fails byte for byte as the full parser does; any
+other argument list (none, ``-h``, an unknown command, ``--``) gets the full
+parser.
 """
 
 from __future__ import annotations
@@ -179,79 +185,79 @@ def _cmd_duality(args) -> int:
     return _emit_report(schubert.duality_check(args.k, args.m), args)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_INT = {"type": int}
+_REQUIRED_INT = {"type": int, "required": True}
+_LAMBDA = ("--lambda", {"dest": "lam", "required": True})
+_MU = ("--mu", {"required": True})
+
+# subcommand -> (help, handler, its own arguments as (flag, keywords)), in the
+# order of the top-level help; every subcommand also takes --format and
+# --verbose-labels, after its own arguments
+_COMMANDS = {
+    "restrict": ("expand a Grassmannian class on the symplectic Grassmannian", _cmd_restrict,
+                 (_LAMBDA, ("--k", _REQUIRED_INT), ("--n", _REQUIRED_INT))),
+    "product": ("two-step flag product of two Grassmannian classes", _cmd_product,
+                (_LAMBDA, _MU, ("--n", _REQUIRED_INT))),
+    "enumerate": ("list puzzle labelings with fugacities", _cmd_enumerate, (
+        ("--family", {"choices": ("triangle", "half"), "required": True}),
+        ("--n", _REQUIRED_INT),
+        ("--nw", {"help": "northwest boundary (triangle: length n; half: length 2n)"}),
+        ("--ne", {"help": "northeast boundary (triangle only)"}),
+        ("--south", {"help": "south boundary (length n)"}),
+    )),
+    "restriction-at-point": ("restrict a Schubert class to a fixed point",
+                             _cmd_restriction_at_point, (
+        ("--space", {"choices": ("gr", "spgr", "fl"), "required": True}),
+        _LAMBDA, _MU, ("--j", _INT), ("--k", _INT), ("--m", _INT), ("--n", _INT),
+    )),
+    "verify-identities": ("check the crossing/bounce/split matrix identities",
+                          _cmd_verify_identities, ()),
+    "crosscheck": ("fixed-point verification sweeps", _cmd_crosscheck, (
+        ("--which", {"choices": ("restriction", "product"), "required": True}),
+        ("--j", _INT), ("--k", _INT), ("--n", _INT),
+    )),
+    "duality": ("nonequivariant duality symmetry sweep", _cmd_duality,
+                (("--k", _REQUIRED_INT), ("--m", _REQUIRED_INT))),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser with every subcommand, or with `command` alone.
+
+    A parser with one subcommand parses that subcommand's arguments exactly
+    as the full parser does; its metavar keeps the full list of subcommands
+    in the top-level usage line that errors print."""
     parser = argparse.ArgumentParser(
         prog="schubpuzzles",
         description="Exact Schubert-calculus expansions by puzzle enumeration, "
         "cross-checked against fixed-point restrictions.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    if command is None:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = _COMMANDS
+    else:
+        metavar = "{" + ",".join(_COMMANDS) + "}"
+        sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+        names = (command,)
+    for name in names:
+        help_text, handler, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            p.add_argument(flag, **keywords)
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument(
             "--verbose-labels",
             action="store_true",
             help="write strings as comma-separated tokens instead of compact digits",
         )
-
-    p = sub.add_parser("restrict", help="expand a Grassmannian class on the symplectic Grassmannian")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_restrict)
-
-    p = sub.add_parser("product", help="two-step flag product of two Grassmannian classes")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_product)
-
-    p = sub.add_parser("enumerate", help="list puzzle labelings with fugacities")
-    p.add_argument("--family", choices=("triangle", "half"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--nw", help="northwest boundary (triangle: length n; half: length 2n)")
-    p.add_argument("--ne", help="northeast boundary (triangle only)")
-    p.add_argument("--south", help="south boundary (length n)")
-    common(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("restriction-at-point", help="restrict a Schubert class to a fixed point")
-    p.add_argument("--space", choices=("gr", "spgr", "fl"), required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--j", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_restriction_at_point)
-
-    p = sub.add_parser("verify-identities", help="check the crossing/bounce/split matrix identities")
-    common(p)
-    p.set_defaults(func=_cmd_verify_identities)
-
-    p = sub.add_parser("crosscheck", help="fixed-point verification sweeps")
-    p.add_argument("--which", choices=("restriction", "product"), required=True)
-    p.add_argument("--j", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_crosscheck)
-
-    p = sub.add_parser("duality", help="nonequivariant duality symmetry sweep")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    common(p)
-    p.set_defaults(func=_cmd_duality)
-
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # a query that names its subcommand first builds only that subparser
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .labels import LABELS, Label, LabelString, Record
 from .poly import Polynomial, y
-from .tensor import SparseMap, k_blue, k_red, r_red_green, r_same_colour, u_split
+from .tensor import UNIT, SparseMap, k_blue, k_red, r_red_green, r_same_colour, u_split
 
 
 class Edge(NamedTuple):
@@ -66,6 +66,12 @@ class ScatteringDiagram(Record):
         return [self.edges[e].parameter for e in self.output_edges]
 
 
+# The parameter-free vertex matrices, shared by every vertex of every
+# diagram, so that each builds its by_input and by_output index once.
+_U_SPLIT = u_split()
+_K_RED = k_red()
+
+
 class _Builder:
     """Grows a diagram upward, one vertex at a time, on a frontier of edges."""
 
@@ -95,7 +101,7 @@ class _Builder:
         green = self._new_edge("G", e_in.parameter)
         red = self._new_edge("R", e_in.parameter)
         self.vertices.append(
-            Vertex("trivalent", u_split(), (e_in.ident,), (green, red), pos)
+            Vertex("trivalent", _U_SPLIT, (e_in.ident,), (green, red), pos)
         )
         self.frontier[pos : pos + 1] = [green, red]
         return green, red
@@ -123,7 +129,7 @@ class _Builder:
         """Wall bounce at frontier position pos; negates the parameter."""
         e_in = self.edges[self.frontier[pos]]
         if e_in.colour == "R":
-            matrix, out_colour = k_red(), "G"
+            matrix, out_colour = _K_RED, "G"
         elif e_in.colour == "B":
             matrix, out_colour = k_blue(e_in.parameter), "B"
         else:
@@ -261,8 +267,6 @@ def build_wiring_diagram(word, group_type: str, m: int, weights=None) -> Scatter
 
 # -- evaluation ----------------------------------------------------------
 
-_ONE = Polynomial.integer(1)
-
 
 class Column(dict):
     """The nonzero entries of one contraction: free boundary -> polynomial.
@@ -282,7 +286,8 @@ def transfer(diagram: ScatteringDiagram, boundary, reverse: bool = False) -> Col
     contracts in the opposite order through `by_output`, giving input
     boundary -> polynomial.  A frontier state carries (polynomial, number of
     labelings) and exists exactly when some partial labeling reaches it, so
-    the counts are exact; a unit matrix entry only relabels the state."""
+    the counts are exact.  A unit matrix entry (the shared `UNIT`) only
+    relabels the state; any other entry multiplies it."""
     key = tuple(boundary)
     pinned = diagram.n_outputs if reverse else diagram.n_inputs
     if len(key) != pinned:
@@ -291,7 +296,7 @@ def transfer(diagram: ScatteringDiagram, boundary, reverse: bool = False) -> Col
     cached = diagram._transfer_cache.get((reverse, key))
     if cached is not None:
         return cached
-    states: dict[tuple[Label, ...], tuple[Polynomial, int]] = {key: (_ONE, 1)}
+    states: dict[tuple[Label, ...], tuple[Polynomial, int]] = {key: (UNIT, 1)}
     for v in reversed(diagram.vertices) if reverse else diagram.vertices:
         if reverse:
             index, arity = v.matrix.by_output(), len(v.out_edges)
@@ -302,7 +307,7 @@ def transfer(diagram: ScatteringDiagram, boundary, reverse: bool = False) -> Col
         for state, (coeff, count) in states.items():
             for labels, weight in index.get(state[pos:end], ()):
                 new_state = state[:pos] + labels + state[end:]
-                w = coeff if weight == _ONE else coeff * weight
+                w = coeff if weight is UNIT else coeff * weight
                 if new_state in new_states:
                     old, old_count = new_states[new_state]
                     new_states[new_state] = (old + w, old_count + count)

@@ -11,7 +11,7 @@ from functools import lru_cache
 from .diagram import build_half_diagram, build_triangle_diagram, enumerate_labelings, transfer
 from .labels import Fl, Gr, LabelString, Record, SpGr, project_flag_string
 from .poly import Polynomial, y
-from .weyl import positive_roots, restriction
+from .weyl import positive_roots, restrictions_at
 
 
 class ExpansionResult(Record):
@@ -196,6 +196,18 @@ def duality_check(k: int, m: int) -> Report:
     return Report(f"duality on {space}", checked, failed, first)
 
 
+def _pairing(expansion: dict, column: dict) -> Polynomial:
+    """The sum of coeff * (restriction of nu) over an expansion, read from a
+    column of `restrictions_at`; classes that vanish at the point add
+    nothing."""
+    total = Polynomial.zero()
+    for nu, coeff in expansion.items():
+        value = column.get(nu.labels)
+        if value is not None:
+            total = total + coeff * value
+    return total
+
+
 def crosscheck_restriction(k: int, n: int) -> Report:
     """Verify the symplectic restriction expansion at every fixed point:
     the ambient restriction at the doubled point, computed directly with the
@@ -206,16 +218,20 @@ def crosscheck_restriction(k: int, n: int) -> Report:
     ambient = Gr(k, 2 * n)
     target = SpGr(k, n)
     weights = tuple(specialize_to_half_torus(y(i), n) for i in range(1, 2 * n + 1))
-    sigmas = [(sigma, sigma.double()) for sigma in target.strings()]
+    # each sigma's two checked columns: the ambient one at the doubled point,
+    # in the symplectic torus, and the symplectic one at sigma
+    columns = [
+        (sigma, restrictions_at(ambient, sigma.double(), weights), restrictions_at(target, sigma))
+        for sigma in target.strings()
+    ]
+    zero = Polynomial.zero()
     checked = failed = 0
     first = None
     for lam in ambient.strings():
         expansion = restrict_to_spgr(lam, k, n).terms
-        for sigma, doubled in sigmas:
-            lhs = restriction(lam, doubled, ambient, weights)
-            rhs = Polynomial.zero()
-            for nu, coeff in expansion.items():
-                rhs = rhs + coeff * restriction(nu, sigma, target)
+        for sigma, ambient_column, target_column in columns:
+            lhs = ambient_column.get(lam.labels, zero)
+            rhs = _pairing(expansion, target_column)
             checked += 1
             if lhs != rhs:
                 failed += 1
@@ -237,20 +253,25 @@ def crosscheck_product(j: int, k: int, n: int) -> Report:
     gr_j, gr_k = Gr(j, n), Gr(k, n)
     lams = gr_j.strings()
     mus = gr_k.strings()
-    sigmas = [
-        (sigma, project_flag_string(sigma, "j"), project_flag_string(sigma, "k"))
+    # each sigma's flag column, and the Grassmannian columns at its projections
+    columns = [
+        (
+            sigma,
+            restrictions_at(space, sigma),
+            restrictions_at(gr_j, project_flag_string(sigma, "j")),
+            restrictions_at(gr_k, project_flag_string(sigma, "k")),
+        )
         for sigma in space.strings()
     ]
+    zero = Polynomial.zero()
     checked = failed = 0
     first = None
     for lam in lams:
         for mu in mus:
             expansion = two_step_product(lam, mu, n).terms
-            for sigma, sigma_j, sigma_k in sigmas:
-                lhs = Polynomial.zero()
-                for nu, coeff in expansion.items():
-                    lhs = lhs + coeff * restriction(nu, sigma, space)
-                rhs = restriction(lam, sigma_j, gr_j) * restriction(mu, sigma_k, gr_k)
+            for sigma, column, column_j, column_k in columns:
+                lhs = _pairing(expansion, column)
+                rhs = column_j.get(lam.labels, zero) * column_k.get(mu.labels, zero)
                 checked += 1
                 if lhs != rhs:
                     failed += 1

@@ -28,6 +28,11 @@ from .poly import Polynomial, u
 
 Z0, T10, O1 = Label.ZERO, Label.TEN, Label.ONE
 
+# The unit entry.  Every matrix below, and every int 1 a SparseMap is given,
+# stores its unit entries as this one polynomial, so a contraction can tell
+# a unit weight by identity.
+UNIT = Polynomial.integer(1)
+
 
 class SparseMap:
     """A sparse linear map between tensor powers of the 3-dimensional label space."""
@@ -41,7 +46,7 @@ class SparseMap:
         if entries:
             for (out, inn), weight in entries.items():
                 if not isinstance(weight, Polynomial):
-                    weight = Polynomial.integer(weight)
+                    weight = UNIT if weight == 1 else Polynomial.integer(weight)
                 if weight.is_zero:
                     continue
                 if len(out) != out_arity or len(inn) != in_arity:
@@ -130,7 +135,7 @@ def r_same_colour(argument: Polynomial) -> SparseMap:
     """
     entries: dict = {}
     for k, l in itertools.product(LABELS, repeat=2):
-        entries[((k, l), (k, l))] = Polynomial.integer(1)
+        entries[((k, l), (k, l))] = UNIT
     weight = -argument
     for out, inn in (((O1, Z0), (Z0, O1)), ((T10, Z0), (Z0, T10)), ((O1, T10), (T10, O1))):
         entries[(out, inn)] = weight
@@ -157,7 +162,7 @@ def r_red_green(argument: Polynomial) -> SparseMap:
     """
     entries: dict = {((Z0, O1), (O1, Z0)): argument}
     for i, j, k, l in _RG_UNIT:
-        entries[((i, j), (k, l))] = Polynomial.integer(1)
+        entries[((i, j), (k, l))] = UNIT
     return SparseMap(2, 2, entries)
 
 
@@ -171,7 +176,7 @@ def k_red() -> SparseMap:
 
 def k_blue(a: Polynomial) -> SparseMap:
     """Blue strand bouncing at the wall: identity plus -2a at (1)<-(0)."""
-    entries: dict = {((x,), (x,)): Polynomial.integer(1) for x in LABELS}
+    entries: dict = {((x,), (x,)): UNIT for x in LABELS}
     entries[((O1,), (Z0,))] = Polynomial.integer(-2) * a
     return SparseMap(1, 1, entries)
 

@@ -17,7 +17,8 @@ backend, which is the printed source of truth):
 Restrictions are computed and compared one fixed point at a time: for a
 point mu, the reduced-subword DP and the wiring-diagram contraction each
 give the restriction of every class to mu, and the two columns must agree
-entry by entry before ``restriction`` answers from them.
+entry by entry before ``restrictions_at`` (a whole column) or
+``restriction`` (one entry) answers from them.
 
 The subword DP (Billey's formula) walks the reduced word of mu's lift from
 right to left and keeps only minimal coset representatives, the elements
@@ -328,15 +329,22 @@ def _restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
     return restrictions
 
 
-def restriction(lam: LabelString, mu: LabelString, space: Space, weights=None) -> Polynomial:
-    """The restriction of the Schubert class lam to the fixed point mu,
-    computed by both the subword and the wiring-diagram backends; the two
-    must agree exactly.
+def restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
+    """The restrictions of every Schubert class of space to the fixed point
+    mu, as {label tuple of lambda: nonzero polynomial}, computed by both the
+    subword and the wiring-diagram backends; the two must agree exactly.
 
     `weights`, when given, is the tuple of images of y_1..y_rank: both
     backends then compute directly in that torus, and the result equals the
-    restriction with those images substituted afterwards."""
+    restrictions with those images substituted afterwards.  The column is
+    cached and shared: callers must not change it."""
     if weights is not None and len(weights) != space.rank:
         raise ValueError(f"{space} needs {space.rank} weights, got {len(weights)}")
+    return _restrictions_at(space, mu, weights)
+
+
+def restriction(lam: LabelString, mu: LabelString, space: Space, weights=None) -> Polynomial:
+    """The restriction of the Schubert class lam to the fixed point mu: one
+    entry of `restrictions_at(space, mu, weights)`."""
     shortest_lift(lam, space.omega(), space.weyl_type)  # rejects lam outside the space
-    return _restrictions_at(space, mu, weights).get(lam.labels, Polynomial.zero())
+    return restrictions_at(space, mu, weights).get(lam.labels, Polynomial.zero())

@@ -1,5 +1,11 @@
+import argparse
 import json
+import pathlib
+import subprocess
+import sys
 
+import schubpuzzles
+from schubpuzzles import cli
 from schubpuzzles.cli import main
 from schubpuzzles.poly import Polynomial, y
 
@@ -143,3 +149,104 @@ def test_output_deterministic(capsys):
     assert first == second
     args = ("enumerate", "--family", "half", "--n", "2", "--nw", "0101")
     assert run(capsys, *args) == run(capsys, *args)
+
+
+# per subcommand: a query that succeeds, the same query without a required
+# option, and one with a non-integer where an int is expected
+_QUERIES = {
+    "restrict": (
+        ["--lambda", "0101", "--k", "2", "--n", "2"],
+        ["--k", "2", "--n", "2"],
+        ["--lambda", "0101", "--k", "two", "--n", "2"],
+    ),
+    "product": (
+        ["--lambda", "101", "--mu", "100", "--n", "3"],
+        ["--lambda", "101", "--n", "3"],
+        ["--lambda", "101", "--mu", "100", "--n", "3.0"],
+    ),
+    "enumerate": (
+        ["--family", "half", "--n", "2", "--nw", "0101"],
+        ["--n", "2"],
+        ["--family", "half", "--n", "x"],
+    ),
+    "restriction-at-point": (
+        ["--space", "gr", "--k", "1", "--m", "2", "--lambda", "10", "--mu", "10"],
+        ["--k", "1", "--m", "2", "--lambda", "10", "--mu", "10"],
+        ["--space", "gr", "--k", "1", "--m", "z", "--lambda", "10", "--mu", "10"],
+    ),
+    "verify-identities": ([], None, None),
+    "crosscheck": (
+        ["--which", "restriction", "--k", "1", "--n", "2"],
+        ["--k", "1", "--n", "2"],
+        ["--which", "restriction", "--k", "1", "--n", "2.5"],
+    ),
+    "duality": (
+        ["--k", "1", "--m", "2"],
+        ["--k", "1"],
+        ["--k", "1", "--m", "-"],
+    ),
+}
+
+
+def _corpus():
+    corpus = [[], ["-h"], ["bogus"], ["restric"], ["--"]]
+    for name, (ok, missing, bad_int) in _QUERIES.items():
+        corpus += [[name, *ok], [name, "-h"], [name, *ok, "extra"], [name, *ok, "--bogus"]]
+        corpus += [[name, *argv] for argv in (missing, bad_int) if argv is not None]
+    return corpus
+
+
+def test_one_subcommand_parser_matches_the_full_parser(capsys, monkeypatch):
+    # a query naming its subcommand builds that subparser alone; its exit
+    # code, output and errors (help and usage text included) must be the
+    # full parser's, byte for byte
+    corpus = _corpus()
+    fast = [run(capsys, *argv) for argv in corpus]
+    full = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: full())
+    for argv, got in zip(corpus, fast):
+        assert run(capsys, *argv) == got, argv
+    assert sorted({code for code, _, _ in fast}) == [0, 1]
+    bogus = fast[corpus.index(["restrict", *_QUERIES["restrict"][0], "--bogus"])]
+    assert "{" + ",".join(_QUERIES) + "}" in bogus[2]
+
+
+def test_a_named_subcommand_builds_two_parsers(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for name, (ok, _, _) in _QUERIES.items():
+        built.clear()
+        assert run(capsys, name, *ok)[0] == 0
+        assert built == ["schubpuzzles", f"schubpuzzles {name}"]
+    built.clear()
+    assert run(capsys, "bogus")[0] == 1
+    assert len(built) == 1 + len(_QUERIES)
+
+
+def _console_script(*argv):
+    # what `python -m schubpuzzles.cli ARGV` runs, in an isolated interpreter
+    # that finds the package in its source tree
+    src = str(pathlib.Path(schubpuzzles.__file__).parents[1])
+    code = (
+        f"import runpy, sys; sys.path.insert(0, {src!r}); "
+        "runpy.run_module('schubpuzzles.cli', run_name='__main__', alter_sys=True)"
+    )
+    return subprocess.run(
+        [sys.executable, "-I", "-c", code, *argv], capture_output=True, text=True, timeout=60
+    )
+
+
+def test_console_script_reads_sys_argv(capsys):
+    argv = ("restrict", "--lambda", "0101", "--k", "2", "--n", "2", "--format", "json")
+    done = _console_script(*argv)
+    assert (done.returncode, done.stdout, done.stderr) == run(capsys, *argv)
+    assert json.loads(done.stdout)["space"] == "SpGr(2,2)"
+    bad = _console_script("restrict", "--lambda", "0101")
+    assert bad.returncode == 1
+    assert "the following arguments are required: --k, --n" in bad.stderr

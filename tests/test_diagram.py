@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from schubpuzzles.diagram import (
+    ScatteringDiagram,
     as_sparse_map,
     build_half_diagram,
     build_triangle_diagram,
@@ -13,7 +14,15 @@ from schubpuzzles.diagram import (
 )
 from schubpuzzles.labels import Label, LabelString, SpGr, strings_with_content
 from schubpuzzles.poly import Polynomial, y
-from schubpuzzles.tensor import compose, identity_map, k_blue, r_same_colour, tensor_product
+from schubpuzzles.tensor import (
+    UNIT,
+    SparseMap,
+    compose,
+    identity_map,
+    k_blue,
+    r_same_colour,
+    tensor_product,
+)
 
 parse = LabelString.parse
 
@@ -257,3 +266,55 @@ def test_transfer_boundary_length_checked_on_pinned_side():
     with pytest.raises(ValueError, match="output boundary has 2 labels"):
         transfer(d, parse("01"), reverse=True)
     assert transfer(d, parse("0101"), reverse=True) == {parse("01").labels: Polynomial.integer(1)}
+
+
+def _unit_test_diagrams():
+    weights = (y(1) + y(2), -y(1), y(3))
+    return (
+        [build_half_diagram(n) for n in range(1, 5)]
+        + [build_triangle_diagram(n) for n in range(1, 5)]
+        + [
+            build_wiring_diagram((1, 2, 1), "A", 3),
+            build_wiring_diagram((2, 1, 2, 1), "C", 2),
+            build_wiring_diagram((3, 2, 3, 1, 2, 3), "C", 3, weights),
+        ]
+    )
+
+
+def test_unit_entries_are_the_shared_unit():
+    # transfer relabels a state on a unit weight by identity, so every unit
+    # entry must be the one shared polynomial, and no other entry may be it
+    for diagram in _unit_test_diagrams():
+        for v in diagram.vertices:
+            for (out, inn), weight in v.matrix.entries.items():
+                assert (weight is UNIT) == (weight == 1), (diagram.name, v.kind, out, inn)
+        # the parameter-free matrices are shared, so their indexes are built once
+        splits = {id(v.matrix) for v in diagram.vertices if v.kind == "trivalent"}
+        red_bounces = {id(v.matrix) for v in diagram.vertices
+                       if v.kind == "bounce" and diagram.edges[v.in_edges[0]].colour == "R"}
+        assert len(splits) <= 1 and len(red_bounces) <= 1, diagram.name
+
+
+def test_transfer_does_not_depend_on_unit_sharing():
+    # unit entries that are not the shared UNIT are multiplied, not relabelled
+    for diagram in (build_half_diagram(3), build_triangle_diagram(3)):
+        fresh = ScatteringDiagram(
+            diagram.name,
+            diagram.edges,
+            [
+                v._replace(matrix=SparseMap(
+                    v.matrix.out_arity,
+                    v.matrix.in_arity,
+                    {key: Polynomial.integer(1) if w is UNIT else w
+                     for key, w in v.matrix.entries.items()},
+                ))
+                for v in diagram.vertices
+            ],
+            diagram.input_edges,
+            diagram.output_edges,
+            {},
+        )
+        assert not any(w is UNIT for v in fresh.vertices for w in v.matrix.entries.values())
+        for out in itertools.product((Label.ZERO, Label.TEN, Label.ONE), repeat=diagram.n_outputs):
+            shared, unshared = transfer(diagram, out, reverse=True), transfer(fresh, out, reverse=True)
+            assert unshared == shared and unshared.counts == shared.counts
