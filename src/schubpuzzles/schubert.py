@@ -215,6 +215,8 @@ def crosscheck_restriction(k: int, n: int) -> Report:
     pairing of the half-puzzle expansion with the symplectic restrictions."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if n < 1:
+        raise ValueError(f"crosscheck restriction needs n >= 1, got n={n}")
     ambient = Gr(k, 2 * n)
     target = SpGr(k, n)
     weights = tuple(specialize_to_half_torus(y(i), n) for i in range(1, 2 * n + 1))
@@ -249,6 +251,8 @@ def crosscheck_product(j: int, k: int, n: int) -> Report:
     the two Grassmannian restrictions at the projected points."""
     if not 0 <= j <= k <= n:
         raise ValueError(f"need 0 <= j <= k <= n, got j={j}, k={k}, n={n}")
+    if n < 1:
+        raise ValueError(f"crosscheck product needs n >= 1, got n={n}")
     space = Fl(j, k, n)
     gr_j, gr_k = Gr(j, n), Gr(k, n)
     lams = gr_j.strings()

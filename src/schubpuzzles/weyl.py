@@ -7,7 +7,7 @@ backend, which is the printed source of truth):
 * Elements are signed permutations in one-line notation; type A has no
   signs.  ``w.right_mult(i)`` is the composite w o s_i, applying s_i
   first, so a word (q_1, .., q_k) read left to right through
-  ``right_mult`` is q_1 o q_2 o .. o q_k; ``w.left_mult(i)`` is s_i o w.
+  ``right_mult`` is q_1 o q_2 o .. o q_k.
   Generator i < n swaps i and i+1; in type C generator n negates n.
 * Simple roots are alpha_i = y_i - y_{i+1}, and alpha_n = 2 y_n in type
   C.  The group acts on weights by w . y_i = y_{w(i)} with y_{-j} = -y_j.
@@ -16,16 +16,16 @@ backend, which is the printed source of truth):
 
 Restrictions are computed and compared one fixed point at a time: for a
 point mu, the reduced-subword DP and the wiring-diagram contraction each
-give the restriction of every class to mu, and the two columns must agree
-entry by entry before ``restrictions_at`` (a whole column) or
-``restriction`` (one entry) answers from them.
+give the whole column of restrictions to mu from the one reduced word of
+mu's lift, and the two columns must be equal before ``restrictions_at``
+or ``restriction`` (one entry) answers from them.
 
-The subword DP (Billey's formula) walks the reduced word of mu's lift from
-right to left and keeps only minimal coset representatives, the elements
-with no right descent in the stabilizer's generators J.  The pruning is
-exact: every suffix of a reduced word of an element of W^J is itself in W^J
-(Bjorner-Brenti, Combinatorics of Coxeter Groups, GTM 231, section 2.4), so a
-dropped state never grows into a class of the space.
+The subword DP (Billey's formula) walks the word from right to left on
+plain one-line tuples and keeps only minimal coset representatives, the
+elements with no right descent in the generators J read off omega.  The
+pruning is exact: every suffix of a reduced word of an element of W^J is
+itself in W^J (Bjorner-Brenti, Combinatorics of Coxeter Groups, GTM 231,
+section 2.4), so a dropped state never grows into a class of the space.
 """
 
 from __future__ import annotations
@@ -64,13 +64,14 @@ class GroupElement(Record):
     def is_identity(self) -> bool:
         return self.images == tuple(range(1, self.rank + 1))
 
-    def _product(self, images: tuple[int, ...]) -> "GroupElement":
-        # a generator swaps two images or values, or negates one, which keeps
-        # a signed permutation signed, so products skip __init__'s check
-        product = object.__new__(GroupElement)
-        object.__setattr__(product, "group_type", self.group_type)
-        object.__setattr__(product, "images", images)
-        return product
+    @classmethod
+    def _unchecked(cls, group_type: str, images: tuple[int, ...]) -> "GroupElement":
+        # products of generators and inverses stay signed permutations, so
+        # they skip __init__'s check
+        element = object.__new__(cls)
+        object.__setattr__(element, "group_type", group_type)
+        object.__setattr__(element, "images", images)
+        return element
 
     def right_mult(self, i: int) -> "GroupElement":
         """The composite self o s_i, without building the generator."""
@@ -82,23 +83,7 @@ class GroupElement(Record):
             imgs[i - 1], imgs[i] = imgs[i], imgs[i - 1]
         else:
             raise ValueError(f"generator index {i} out of range")
-        return self._product(tuple(imgs))
-
-    def left_mult(self, i: int) -> "GroupElement":
-        """The composite s_i o self: swaps the values +-i and +-(i+1), keeping
-        signs, or in type C for i = n negates the value +-n."""
-        n = self.rank
-        if self.group_type == "C" and i == n:
-            swap = {n: -n, -n: n}
-        elif 1 <= i <= n - 1:
-            swap = {i: i + 1, i + 1: i, -i: -i - 1, -i - 1: -i}
-        else:
-            raise ValueError(f"generator index {i} out of range")
-        return self._product(tuple(swap.get(x, x) for x in self.images))
-
-    def _key(self, a: int) -> int:
-        # linear order on signed indices in which y_a - y_b < 0 iff key(a) > key(b)
-        return a if a > 0 else 2 * self.rank + 1 + a
+        return GroupElement._unchecked(self.group_type, tuple(imgs))
 
     def length(self) -> int:
         """Coxeter length: inversions in type A, positive roots sent negative in type C."""
@@ -107,11 +92,12 @@ class GroupElement(Record):
         if self.group_type == "A":
             return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
         total = sum(1 for x in w if x < 0)
+        m = 2 * n + 1  # y_a - y_b < 0 exactly when a % m > b % m
         for i in range(n):
             for j in range(i + 1, n):
-                if self._key(w[i]) > self._key(w[j]):  # y_i - y_j
+                if w[i] % m > w[j] % m:  # y_i - y_j
                     total += 1
-                if self._key(w[i]) > self._key(-w[j]):  # y_i + y_j
+                if w[i] % m > -w[j] % m:  # y_i + y_j
                     total += 1
         return total
 
@@ -122,18 +108,7 @@ class GroupElement(Record):
             return self.images[n - 1] < 0
         if not 1 <= i <= n - 1:
             raise ValueError(f"generator index {i} out of range")
-        return self._key(self.images[i - 1]) > self._key(self.images[i])
-
-    def is_left_descent(self, i: int) -> bool:
-        """Whether multiplying by s_i on the left shortens the element, that
-        is whether the inverse sends alpha_i to a negative root."""
-        n = self.rank
-        preimage = {abs(x): (j if x > 0 else -j) for j, x in enumerate(self.images, start=1)}
-        if self.group_type == "C" and i == n:
-            return preimage[n] < 0
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range")
-        return self._key(preimage[i]) > self._key(preimage[i + 1])
+        return self.images[i - 1] % (2 * n + 1) > self.images[i] % (2 * n + 1)
 
     def generator_indices(self) -> range:
         return range(1, self.rank + 1) if self.group_type == "C" else range(1, self.rank)
@@ -169,55 +144,70 @@ def positive_roots(group_type: str, rank: int) -> list[Polynomial]:
 
 # -- the reduced-subword restriction ---------------------------------------
 
-def _subword_column(sigma: GroupElement, parabolic: tuple[int, ...], weights=None) -> dict:
-    """Restrictions to the fixed point sigma of the classes of every minimal
-    coset representative below it, as {element: polynomial}, in the torus
-    whose weights are the images of y_1..y_rank (None: the identity).
+def _subword_column(word, group_type: str, rank: int, parabolic, weights=None) -> dict:
+    """Restrictions to the fixed point with reduced word `word` of the
+    classes of every minimal coset representative below it, as
+    {element: polynomial}, in the torus whose weights are the images of
+    y_1..y_rank (None: the identity).
 
-    Billey's formula sums, over the reduced subwords of sigma's canonical
-    reduced word q_1..q_L, the product of the roots
-    beta_t = (q_1..q_{t-1}) . alpha_{q_t} at the chosen positions.  The DP
-    reads the word from right to left: a state is the product v of the
-    letters chosen among positions t..L, and it grows to s_{q_t} o v when
-    that is longer.  States with a right descent in `parabolic` are dropped,
-    since no suffix of a reduced word of a minimal coset representative has
-    one.  The weights enter through the roots only, since specializing them
-    is a ring homomorphism and commutes with the sum of products.
-    """
-    group_type, rank = sigma.group_type, sigma.rank
+    Billey's formula sums, over the reduced subwords of q_1..q_L, the
+    product of the roots beta_t = (q_1..q_{t-1}) . alpha_{q_t} at the chosen
+    positions; the weights enter through the roots only, since specializing
+    them is a ring homomorphism.  The DP reads the word from right to left:
+    a state is the product v of the letters chosen among positions t..L, and
+    it grows to s_{q_t} o v when that is longer.  A state is held as the
+    one-line tuple of u = v^-1: s_q o v is u o s_q, a swap of entries q, q+1
+    (or the sign of entry rank), and it is longer when u sends alpha_q to a
+    positive root.  States with a right descent in `parabolic` (J) are
+    dropped, since no suffix of a reduced word of a minimal coset
+    representative has one; by Deodhar's lemma, a longer s_q o v has one
+    exactly when it is v o s_j with j in J, that is when u sends alpha_q to
+    alpha_j."""
     if weights is None:
         weights = tuple(y(i) for i in range(1, rank + 1))
 
     def weight(j: int) -> Polynomial:
         return weights[j - 1] if j > 0 else -weights[-j - 1]
 
-    word = sigma.reduced_word()
     betas = []
-    prefix = GroupElement.identity(group_type, rank)
+    prefix = list(range(1, rank + 1))
     for q in word:
         if group_type == "C" and q == rank:
-            betas.append(2 * weight(prefix.apply(q)))
+            betas.append(2 * weight(prefix[q - 1]))
+            prefix[q - 1] = -prefix[q - 1]
         else:
-            betas.append(weight(prefix.apply(q)) - weight(prefix.apply(q + 1)))
-        prefix = prefix.right_mult(q)
-    states: dict[GroupElement, Polynomial] = {
-        GroupElement.identity(group_type, rank): Polynomial.integer(1)
-    }
+            betas.append(weight(prefix[q - 1]) - weight(prefix[q]))
+            prefix[q - 1], prefix[q] = prefix[q], prefix[q - 1]
+    sign = rank if group_type == "C" else 0  # the sign generator, if any
+    # u sends alpha_q (q < rank) to alpha_j when (u(q), u(q+1)) is one of these
+    to_simple = {(j, j + 1) for j in parabolic if j != sign}
+    to_simple |= {(-b, -a) for a, b in to_simple}
+    sign_fixed = rank if sign in parabolic else 0  # s_rank o v = v o s_rank when u(rank) = rank
+    modulus = 2 * rank + 1  # a % modulus orders signed indices as the roots do
+    states = {tuple(range(1, rank + 1)): Polynomial.integer(1)}
     for q, beta in zip(reversed(word), reversed(betas)):
         new_states = dict(states)
-        for elem, total in states.items():
-            if elem.is_left_descent(q):
-                continue
-            grown = elem.left_mult(q)
-            if any(grown.is_right_descent(j) for j in parabolic):
-                continue
-            add = total * beta
-            if grown in new_states:
-                new_states[grown] = new_states[grown] + add
+        for u, total in states.items():
+            if q == sign:
+                a = u[-1]
+                if a < 0 or a == sign_fixed:
+                    continue
+                grown = u[:-1] + (-a,)
             else:
-                new_states[grown] = add
+                a, b = u[q - 1], u[q]
+                if a % modulus > b % modulus or (a, b) in to_simple:
+                    continue
+                grown = u[:q - 1] + (b, a) + u[q + 1:]
+            add = total * beta
+            new_states[grown] = new_states[grown] + add if grown in new_states else add
         states = new_states
-    return states
+    column = {}
+    for u, total in states.items():
+        images = [0] * rank
+        for position, a in enumerate(u, start=1):
+            images[abs(a) - 1] = position if a > 0 else -position
+        column[GroupElement._unchecked(group_type, tuple(images))] = total
+    return column
 
 
 # -- cosets and lifts -------------------------------------------------------
@@ -227,12 +217,14 @@ def coset_string(w: GroupElement, omega: LabelString) -> LabelString:
     image is negative."""
     if len(omega) != w.rank:
         raise ValueError("string length does not match the rank")
-    out: list[Label | None] = [None] * w.rank
-    for i in range(1, w.rank + 1):
-        target = w.apply(i)
-        lab = omega[i - 1]
-        out[abs(target) - 1] = lab if target > 0 else lab.dual
-    return LabelString(out)
+    return LabelString(_coset_labels(w.images, omega.labels))
+
+
+def _coset_labels(images: tuple[int, ...], labels: tuple[Label, ...]) -> tuple[Label, ...]:
+    out = [None] * len(images)
+    for label, image in zip(labels, images):
+        out[abs(image) - 1] = label if image > 0 else label.dual
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -296,37 +288,43 @@ def _restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
     """The restrictions of every Schubert class of space to the fixed point
     mu, as {label tuple of lambda: nonzero polynomial}.
 
-    Both backends produce the whole column.  The subword DP runs right to
-    left over the reduced word of mu's lift and keeps only minimal coset
-    representatives for the generators J that fix omega (exact by
-    Bjorner-Brenti, GTM 231, section 2.4: suffixes of reduced words of W^J
-    elements stay in W^J); it is read at every lambda's shortest lift.  The
-    wiring backend is the forward transfer of the wiring diagram of mu.
-    They must agree on every lambda."""
+    Both backends produce the whole column from the one reduced word of mu's
+    lift.  The subword DP keeps only minimal coset representatives for the
+    generators J that fix omega, read off omega: i < rank when omega_i =
+    omega_{i+1}, and in type C the sign generator when omega ends in 10.
+    Each nonzero DP state is sent to its coset string, and no two states may
+    share one.  The wiring backend is the forward transfer of the wiring
+    diagram of the same word.  The two columns must be equal: the first
+    lambda in lex order where they differ is named otherwise."""
     omega = space.omega()
-    sigma = shortest_lift(mu, omega, space.weyl_type)
-    identity = GroupElement.identity(space.weyl_type, space.rank)
-    parabolic = tuple(
-        i for i in identity.generator_indices() if coset_string(identity.right_mult(i), omega) == omega
-    )
-    table = _subword_column(sigma, parabolic, weights)
-    wiring = diagram.build_wiring_diagram(
-        sigma.reduced_word(), space.weyl_type, space.rank, weights
-    )
-    column = diagram.transfer(wiring, omega.labels)
-    zero = Polynomial.zero()
-    restrictions = {}
-    for lam in space.strings():
-        by_subword = table.get(shortest_lift(lam, omega, space.weyl_type), zero)
-        by_wiring = column.get(lam.labels, zero)
-        if by_subword != by_wiring:
+    group_type, rank, labels = space.weyl_type, space.rank, omega.labels
+    word = shortest_lift(mu, omega, group_type).reduced_word()
+    parabolic = [i for i in range(1, rank) if labels[i - 1] == labels[i]]
+    if group_type == "C" and labels[-1] is Label.TEN:
+        parabolic.append(rank)
+    by_subword = {}
+    for elem, value in _subword_column(word, group_type, rank, parabolic, weights).items():
+        if value.is_zero:
+            continue
+        lam = _coset_labels(elem.images, labels)
+        if lam in by_subword:
             raise RuntimeError(
-                f"backend disagreement for {lam.compact()}|{mu.compact()} on {space}: "
-                f"subword {by_subword} vs wiring {by_wiring}"
+                f"two subword states give {LabelString(lam).compact()}|{mu.compact()} on {space}"
             )
-        if by_subword:
-            restrictions[lam.labels] = by_subword
-    return restrictions
+        by_subword[lam] = value
+    wiring = diagram.build_wiring_diagram(word, group_type, rank, weights)
+    by_wiring = diagram.transfer(wiring, labels)
+    if by_subword != by_wiring:
+        zero = Polynomial.zero()
+        lam = min(
+            lam for lam in by_subword.keys() | by_wiring.keys()
+            if by_subword.get(lam, zero) != by_wiring.get(lam, zero)
+        )
+        raise RuntimeError(
+            f"backend disagreement for {LabelString(lam).compact()}|{mu.compact()} on {space}: "
+            f"subword {by_subword.get(lam, zero)} vs wiring {by_wiring.get(lam, zero)}"
+        )
+    return by_subword
 
 
 def restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
@@ -338,6 +336,8 @@ def restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
     backends then compute directly in that torus, and the result equals the
     restrictions with those images substituted afterwards.  The column is
     cached and shared: callers must not change it."""
+    if space.rank < 1:
+        raise ValueError(f"{space} has rank 0: fixed-point restrictions need rank at least 1")
     if weights is not None and len(weights) != space.rank:
         raise ValueError(f"{space} needs {space.rank} weights, got {len(weights)}")
     return _restrictions_at(space, mu, weights)

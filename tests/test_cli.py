@@ -114,6 +114,25 @@ def test_validation_errors_exit_1(capsys):
     assert code == 1
 
 
+def test_size_zero_spaces_exit_1_naming_the_space(capsys):
+    rank_zero = "has rank 0: fixed-point restrictions need rank at least 1"
+    cases = [
+        (("crosscheck", "--which", "restriction", "--k", "0", "--n", "0"),
+         "crosscheck restriction needs n >= 1, got n=0"),
+        (("crosscheck", "--which", "product", "--j", "0", "--k", "0", "--n", "0"),
+         "crosscheck product needs n >= 1, got n=0"),
+        (("restriction-at-point", "--space", "gr", "--k", "0", "--m", "0"), f"Gr(0,0) {rank_zero}"),
+        (("restriction-at-point", "--space", "spgr", "--k", "0", "--n", "0"),
+         f"SpGr(0,0) {rank_zero}"),
+        (("restriction-at-point", "--space", "fl", "--j", "0", "--k", "0", "--m", "0"),
+         f"Fl(0,0,0) {rank_zero}"),
+    ]
+    for argv, message in cases:
+        if argv[0] == "restriction-at-point":
+            argv += ("--lambda", "", "--mu", "")
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
+
+
 def test_bad_usage_exit_1(capsys):
     assert run(capsys, "restrict", "--lambda", "01")[0] == 1
     assert run(capsys, "no-such-command")[0] == 1

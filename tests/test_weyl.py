@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from schubpuzzles import weyl
+from schubpuzzles import diagram, weyl
 from schubpuzzles.labels import Fl, Gr, LabelString, SpGr
 from schubpuzzles.poly import Polynomial, y
 from schubpuzzles.schubert import specialize_to_half_torus
@@ -18,6 +18,31 @@ parse = LabelString.parse
 
 
 # -- the full-group subword DP: the reference for the parabolic one ---------
+
+def left_mult(w: GroupElement, i: int) -> GroupElement:
+    """The composite s_i o w: swaps the values +-i and +-(i+1), keeping
+    signs, or in type C for i = n negates the value +-n."""
+    n = w.rank
+    if w.group_type == "C" and i == n:
+        swap = {n: -n, -n: n}
+    elif 1 <= i <= n - 1:
+        swap = {i: i + 1, i + 1: i, -i: -i - 1, -i - 1: -i}
+    else:
+        raise ValueError(f"generator index {i} out of range")
+    return GroupElement._unchecked(w.group_type, tuple(swap.get(x, x) for x in w.images))
+
+
+def is_left_descent(w: GroupElement, i: int) -> bool:
+    """Whether multiplying by s_i on the left shortens w, that is whether
+    the inverse sends alpha_i to a negative root."""
+    n = w.rank
+    preimage = {abs(x): (j if x > 0 else -j) for j, x in enumerate(w.images, start=1)}
+    if w.group_type == "C" and i == n:
+        return preimage[n] < 0
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index {i} out of range")
+    return preimage[i] % (2 * n + 1) > preimage[i + 1] % (2 * n + 1)
+
 
 def word_to_element(word, group_type: str, rank: int) -> GroupElement:
     """The product of the word, applied right letter first."""
@@ -204,20 +229,20 @@ def test_left_mult_equals_validated_constructor():
                 else:
                     s_q = {q: q + 1, q + 1: q, -q: -q - 1, -q - 1: -q}
                 expected = GroupElement(group_type, tuple(s_q.get(x, x) for x in w.images))
-                assert w.left_mult(q) == expected
-                assert hash(w.left_mult(q)) == hash(expected)
+                assert left_mult(w, q) == expected
+                assert hash(left_mult(w, q)) == hash(expected)
 
 
 def test_left_descent_matches_length():
     for group_type, rank in (("A", 3), ("C", 2), ("C", 3)):
         for w in all_elements(group_type, rank):
             for q in w.generator_indices():
-                rises = w.left_mult(q).length() == w.length() + 1
-                assert (not w.is_left_descent(q)) == rises, (w, q)
+                rises = left_mult(w, q).length() == w.length() + 1
+                assert (not is_left_descent(w, q)) == rises, (w, q)
         with pytest.raises(ValueError, match="out of range"):
-            GroupElement.identity(group_type, rank).left_mult(rank + 1)
+            left_mult(GroupElement.identity(group_type, rank), rank + 1)
         with pytest.raises(ValueError, match="out of range"):
-            GroupElement.identity(group_type, rank).is_left_descent(0)
+            is_left_descent(GroupElement.identity(group_type, rank), 0)
 
 
 def test_word_to_element_worked_example():
@@ -359,7 +384,9 @@ def test_subword_independent_of_reduced_word():
 def test_parabolic_table_equals_full_table_on_coset_representatives():
     # the right-to-left DP pruned to W^J must give, at every point, exactly the
     # full-group table's entries at the shortest lifts of the space's strings,
-    # and never hold more states than the space has classes
+    # and never hold more states than the space has classes; on the
+    # crosscheck's call path at (k, n) = (2, 4) it must also do so in the
+    # symplectic torus, against the full table with those weights substituted
     spaces = (
         Gr(2, 6), Gr(3, 6), SpGr(1, 3), SpGr(2, 3), SpGr(3, 3),
         SpGr(2, 4), SpGr(4, 4), Fl(1, 2, 4), Gr(2, 8),
@@ -368,12 +395,38 @@ def test_parabolic_table_equals_full_table_on_coset_representatives():
         omega = space.omega()
         lifts = [shortest_lift(lam, omega, space.weyl_type) for lam in space.strings()]
         parabolic = parabolic_generators(space)
+        weights = tuple(specialize_to_half_torus(y(i), 4) for i in range(1, space.rank + 1))
+        weighted = space in (SpGr(2, 4), Gr(2, 8))
         for mu in space.strings():
             sigma = shortest_lift(mu, omega, space.weyl_type)
-            table = weyl._subword_column(sigma, parabolic)
+            args = (sigma.reduced_word(), space.weyl_type, space.rank, parabolic)
+            table = weyl._subword_column(*args)
             full = full_subword_table(sigma)
             assert table == {w: full[w] for w in lifts if w in full}, (str(space), mu.compact())
             assert len(table) <= len(lifts)
+            if weighted:
+                expected = {w: specialize_to_half_torus(full[w], 4) for w in table}
+                assert weyl._subword_column(*args, weights) == expected, (str(space), mu.compact())
+
+
+def test_parabolic_generators_read_off_omega(monkeypatch):
+    # the J that _restrictions_at reads off omega (omega_i = omega_{i+1}, and
+    # a final 10 in type C) is the J of the coset_string definition
+    seen = []
+    real_column = weyl._subword_column
+
+    def recording_column(word, group_type, rank, parabolic, weights=None):
+        seen.append(tuple(parabolic))
+        return real_column(word, group_type, rank, parabolic, weights)
+
+    monkeypatch.setattr(weyl, "_subword_column", recording_column)
+    spaces = [Gr(k, m) for m in range(1, 7) for k in range(m + 1)]
+    spaces += [SpGr(k, n) for n in range(1, 7) for k in range(n + 1)]
+    spaces += [Fl(j, k, m) for m in range(1, 7) for k in range(m + 1) for j in range(k + 1)]
+    for space in spaces:
+        weyl._restrictions_at.__wrapped__(space, space.omega())  # bypasses the cache
+        assert seen.pop() == parabolic_generators(space), str(space)
+    assert len(spaces) == 27 + 27 + 83
 
 
 def test_restriction_examples():
@@ -408,8 +461,8 @@ def test_backend_disagreement_raises(monkeypatch):
     perturbed_lift = shortest_lift(parse("0101"), space.omega(), "A")
     real_column = weyl._subword_column
 
-    def perturbed_column(sigma, parabolic, weights=None):
-        table = dict(real_column(sigma, parabolic, weights))
+    def perturbed_column(word, group_type, rank, parabolic, weights=None):
+        table = dict(real_column(word, group_type, rank, parabolic, weights))
         table[perturbed_lift] = table.get(perturbed_lift, Polynomial.zero()) + 1
         return table
 
@@ -420,6 +473,54 @@ def test_backend_disagreement_raises(monkeypatch):
             restriction(space.omega(), mu, space)
     finally:
         weyl._restrictions_at.cache_clear()
+
+
+def _column_mismatch_raises(monkeypatch, module, name, change, mu: str, match: str):
+    # `change` edits the column that module.name returns at the point mu of
+    # Gr(2,4); the whole-column comparison must then raise, naming `match`
+    space = Gr(2, 4)
+    real = getattr(module, name)
+
+    def changed(*args):
+        column = dict(real(*args))
+        change(column)
+        return column
+
+    weyl._restrictions_at.cache_clear()
+    monkeypatch.setattr(module, name, changed)
+    try:
+        with pytest.raises(RuntimeError, match=match):
+            weyl.restrictions_at(space, parse(mu))
+    finally:
+        weyl._restrictions_at.cache_clear()
+
+
+def test_column_comparison_catches_a_dropped_subword_class(monkeypatch):
+    lift = shortest_lift(parse("0101"), Gr(2, 4).omega(), "A")
+    _column_mismatch_raises(
+        monkeypatch, weyl, "_subword_column", lambda table: table.pop(lift),
+        "1100", r"disagreement for 0101\|1100 on Gr\(2,4\): subword 0 vs wiring",
+    )
+
+
+def test_column_comparison_catches_an_extra_wiring_entry(monkeypatch):
+    # 1100 is not below 0101, so both backends give 0 there
+    assert restriction(parse("1100"), parse("0101"), Gr(2, 4)) == 0
+    _column_mismatch_raises(
+        monkeypatch, diagram, "transfer", lambda column: column.update({parse("1100").labels: y(1)}),
+        "0101", r"disagreement for 1100\|0101 on Gr\(2,4\): subword 0 vs wiring y1",
+    )
+
+
+def test_column_comparison_catches_two_states_in_one_coset(monkeypatch):
+    # 0101's lift times s_1 (in J for Gr(2,4)) lies in the same coset
+    lift = shortest_lift(parse("0101"), Gr(2, 4).omega(), "A")
+    other = lift.right_mult(1)
+    assert coset_string(other, Gr(2, 4).omega()) == parse("0101")
+    _column_mismatch_raises(
+        monkeypatch, weyl, "_subword_column", lambda table: table.update({other: y(1)}),
+        "1100", r"two subword states give 0101\|1100 on Gr\(2,4\)",
+    )
 
 
 def test_restriction_in_half_torus_equals_specialized_restriction():
