@@ -67,9 +67,9 @@ class ScatteringDiagram(Record):
 
 
 # The parameter-free vertex matrices, shared by every vertex of every
-# diagram, so that each builds its by_input and by_output index once.
-_U_SPLIT = u_split()
-_K_RED = k_red()
+# diagram and indexed once, so that no transfer builds an index.
+_U_SPLIT = u_split().indexed()
+_K_RED = k_red().indexed()
 
 
 class _Builder:

@@ -112,6 +112,8 @@ def two_step_product(lam: LabelString, mu: LabelString, n: int) -> ExpansionResu
     lam on the northwest, mu on the northeast and nu on the south.  One
     reverse contraction from the north side lam+mu, cached on the diagram,
     yields every nu with its coefficient and its puzzle count."""
+    if n < 1:
+        raise ValueError(f"two-step product needs n >= 1, got n={n}")
     j = _binary_content(lam, n, "lambda")
     k = _binary_content(mu, n, "mu")
     if j > k:
@@ -124,12 +126,14 @@ def restrict_to_spgr(lam: LabelString, k: int, n: int) -> ExpansionResult:
     Grassmannian.  Coefficient of nu is the (lam, nu) entry of the half
     diagram; one reverse contraction from the north side lam yields every
     nu with its coefficient and its half-puzzle count."""
-    n0, n10, n1 = lam.content()
-    if (n0, n10, n1) != (k, 0, 2 * n - k):
+    target = SpGr(k, n)
+    if n < 1:
+        raise ValueError(f"restriction to {target} needs n >= 1, got n={n}")
+    if lam.content() != (k, 0, 2 * n - k):
         raise ValueError(
             f"lambda must have content 0^{k} 1^{2 * n - k}, got {lam.compact()}"
         )
-    return _expansion(SpGr(k, n), transfer(_half(n), lam.labels, reverse=True))
+    return _expansion(target, transfer(_half(n), lam.labels, reverse=True))
 
 
 def half_puzzles(lam: LabelString, nu: LabelString, n: int):

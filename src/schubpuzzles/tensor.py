@@ -76,6 +76,12 @@ class SparseMap:
             self._by_output = self._grouped(by_out=True)
         return self._by_output
 
+    def indexed(self) -> "SparseMap":
+        """This map, with both indexes built now rather than on first use."""
+        self.by_input()
+        self.by_output()
+        return self
+
     def entry(self, out, inn) -> Polynomial:
         return self.entries.get((tuple(out), tuple(inn)), Polynomial.zero())
 
@@ -127,19 +133,69 @@ def tensor_product(*maps: SparseMap) -> SparseMap:
 
 # -- the matrices -------------------------------------------------------
 
+# Stands for the parameter in a family's template; told apart by identity.
+_PARAMETER = Polynomial.integer(2)
+
+
+def _slots(index: dict) -> list[tuple]:
+    """(key, position) of every `_PARAMETER` weight in an index."""
+    return [(key, i) for key, lst in index.items() for i, (_, w) in enumerate(lst) if w is _PARAMETER]
+
+
+class _Family:
+    """A one-parameter family of maps that differ only in the weight of a
+    few entries.
+
+    The unit entries and both sorted indexes are built once, from a template
+    whose parameter entries hold `_PARAMETER`.  A member copies them and
+    writes its weight into the entries and index slots of the parameter,
+    which are already in sorted position, so building one validates and
+    regroups nothing.  A zero weight drops those entries, as the SparseMap
+    constructor does.  Index lists without a parameter entry are shared by
+    every member, so nothing may change them."""
+
+    __slots__ = ("full", "unit", "keys", "input_slots", "output_slots")
+
+    def __init__(self, out_arity: int, in_arity: int, entries: dict):
+        self.full = SparseMap(out_arity, in_arity, entries).indexed()
+        units = {key: w for key, w in entries.items() if w is not _PARAMETER}
+        self.unit = SparseMap(out_arity, in_arity, units).indexed()
+        self.keys = [key for key, w in entries.items() if w is _PARAMETER]
+        self.input_slots = _slots(self.full.by_input())
+        self.output_slots = _slots(self.full.by_output())
+
+    def __call__(self, weight: Polynomial) -> SparseMap:
+        source = self.unit if weight.is_zero else self.full
+        member = object.__new__(SparseMap)
+        member.out_arity, member.in_arity = source.out_arity, source.in_arity
+        member.entries = dict(source.entries)
+        member._by_input = dict(source._by_input)
+        member._by_output = dict(source._by_output)
+        if source is self.full:
+            member.entries.update(dict.fromkeys(self.keys, weight))
+            # each slot's list is copied before the weight goes in
+            for index, slots in ((member._by_input, self.input_slots),
+                                 (member._by_output, self.output_slots)):
+                for key, i in slots:
+                    lst = index[key] = index[key][:]
+                    lst[i] = (lst[i][0], weight)
+        return member
+
+
+_R_SAME_COLOUR = _Family(2, 2, {
+    **{((k, l), (k, l)): UNIT for k, l in itertools.product(LABELS, repeat=2)},
+    **{(out, inn): _PARAMETER
+       for out, inn in (((O1, Z0), (Z0, O1)), ((T10, Z0), (Z0, T10)), ((O1, T10), (T10, O1)))},
+})
+
+
 def r_same_colour(argument: Polynomial) -> SparseMap:
     """Crossing of two same-colour strands, argument a-b.
 
     Unit on every diagonal pair; the three exchange entries
     (1,0)<-(0,1), (10,0)<-(0,10), (1,10)<-(10,1) carry b-a.
     """
-    entries: dict = {}
-    for k, l in itertools.product(LABELS, repeat=2):
-        entries[((k, l), (k, l))] = UNIT
-    weight = -argument
-    for out, inn in (((O1, Z0), (Z0, O1)), ((T10, Z0), (Z0, T10)), ((O1, T10), (T10, O1))):
-        entries[(out, inn)] = weight
-    return SparseMap(2, 2, entries)
+    return _R_SAME_COLOUR(-argument)
 
 
 _RG_UNIT = (
@@ -154,16 +210,18 @@ _RG_UNIT = (
     (T10, O1, O1, T10),
 )
 
+_R_RED_GREEN = _Family(2, 2, {
+    ((Z0, O1), (O1, Z0)): _PARAMETER,
+    **{((i, j), (k, l)): UNIT for i, j, k, l in _RG_UNIT},
+})
+
 
 def r_red_green(argument: Polynomial) -> SparseMap:
     """Crossing of a red strand (lower left) over a green strand, argument a-b.
 
     Nine unit entries, plus a-b at (0,1)<-(1,0); everything else vanishes.
     """
-    entries: dict = {((Z0, O1), (O1, Z0)): argument}
-    for i, j, k, l in _RG_UNIT:
-        entries[((i, j), (k, l))] = UNIT
-    return SparseMap(2, 2, entries)
+    return _R_RED_GREEN(argument)
 
 
 def k_red() -> SparseMap:
@@ -174,11 +232,12 @@ def k_red() -> SparseMap:
     return SparseMap(1, 1, {((O1,), (Z0,)): 1, ((Z0,), (O1,)): 1})
 
 
+_K_BLUE = _Family(1, 1, {**{((x,), (x,)): UNIT for x in LABELS}, ((O1,), (Z0,)): _PARAMETER})
+
+
 def k_blue(a: Polynomial) -> SparseMap:
     """Blue strand bouncing at the wall: identity plus -2a at (1)<-(0)."""
-    entries: dict = {((x,), (x,)): UNIT for x in LABELS}
-    entries[((O1,), (Z0,))] = Polynomial.integer(-2) * a
-    return SparseMap(1, 1, entries)
+    return _K_BLUE(Polynomial.integer(-2) * a)
 
 
 _U_UNIT = (

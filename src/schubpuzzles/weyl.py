@@ -4,11 +4,11 @@ fixed-point restrictions of equivariant Schubert classes.
 Conventions (all of them are exercised against the scattering-diagram
 backend, which is the printed source of truth):
 
-* Elements are signed permutations in one-line notation; type A has no
-  signs.  ``w.right_mult(i)`` is the composite w o s_i, applying s_i
-  first, so a word (q_1, .., q_k) read left to right through
-  ``right_mult`` is q_1 o q_2 o .. o q_k.
-  Generator i < n swaps i and i+1; in type C generator n negates n.
+* An element w is a signed permutation, held as the tuple of its one-line
+  images (w(1), .., w(n)); type A has no signs.  Generator i < n swaps i
+  and i+1; in type C generator n negates n.  w o s_i applies s_i first:
+  it swaps the images at positions i, i+1, or negates the image at n.  A
+  word (q_1, .., q_k) is the element q_1 o q_2 o .. o q_k.
 * Simple roots are alpha_i = y_i - y_{i+1}, and alpha_n = 2 y_n in type
   C.  The group acts on weights by w . y_i = y_{w(i)} with y_{-j} = -y_j.
 * A coset string places omega_i at position w(i), dualized (0 <-> 1)
@@ -21,7 +21,7 @@ mu's lift, and the two columns must be equal before ``restrictions_at``
 or ``restriction`` (one entry) answers from them.
 
 The subword DP (Billey's formula) walks the word from right to left on
-plain one-line tuples and keeps only minimal coset representatives, the
+one-line tuples and keeps only minimal coset representatives, the
 elements with no right descent in the generators J read off omega.  The
 pruning is exact: every suffix of a reduced word of an element of W^J is
 itself in W^J (Bjorner-Brenti, Combinatorics of Coxeter Groups, GTM 231,
@@ -33,105 +33,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import diagram
-from .labels import Label, LabelString, Record, Space
+from .labels import Label, LabelString, Space
 from .poly import Polynomial, y
-
-
-class GroupElement(Record):
-    __slots__ = ("group_type", "images")  # "A" or "C"; tuple[int, ...]
-
-    def __init__(self, group_type: str, images: tuple[int, ...]):
-        if group_type not in ("A", "C"):
-            raise ValueError(f"unknown group type {group_type!r}")
-        if sorted(abs(x) for x in images) != list(range(1, len(images) + 1)):
-            raise ValueError(f"not a signed permutation: {images}")
-        if group_type == "A" and any(x < 0 for x in images):
-            raise ValueError("type A permutations have no negative entries")
-        super().__init__(group_type, images)
-
-    @classmethod
-    def identity(cls, group_type: str, rank: int) -> "GroupElement":
-        return cls(group_type, tuple(range(1, rank + 1)))
-
-    @property
-    def rank(self) -> int:
-        return len(self.images)
-
-    def apply(self, j: int) -> int:
-        """The image of the signed index j."""
-        return self.images[j - 1] if j > 0 else -self.images[-j - 1]
-
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(1, self.rank + 1))
-
-    @classmethod
-    def _unchecked(cls, group_type: str, images: tuple[int, ...]) -> "GroupElement":
-        # products of generators and inverses stay signed permutations, so
-        # they skip __init__'s check
-        element = object.__new__(cls)
-        object.__setattr__(element, "group_type", group_type)
-        object.__setattr__(element, "images", images)
-        return element
-
-    def right_mult(self, i: int) -> "GroupElement":
-        """The composite self o s_i, without building the generator."""
-        n = self.rank
-        imgs = list(self.images)
-        if self.group_type == "C" and i == n:
-            imgs[n - 1] = -imgs[n - 1]
-        elif 1 <= i <= n - 1:
-            imgs[i - 1], imgs[i] = imgs[i], imgs[i - 1]
-        else:
-            raise ValueError(f"generator index {i} out of range")
-        return GroupElement._unchecked(self.group_type, tuple(imgs))
-
-    def length(self) -> int:
-        """Coxeter length: inversions in type A, positive roots sent negative in type C."""
-        n = self.rank
-        w = self.images
-        if self.group_type == "A":
-            return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-        total = sum(1 for x in w if x < 0)
-        m = 2 * n + 1  # y_a - y_b < 0 exactly when a % m > b % m
-        for i in range(n):
-            for j in range(i + 1, n):
-                if w[i] % m > w[j] % m:  # y_i - y_j
-                    total += 1
-                if w[i] % m > -w[j] % m:  # y_i + y_j
-                    total += 1
-        return total
-
-    def is_right_descent(self, i: int) -> bool:
-        """Whether multiplying by s_i on the right shortens the element."""
-        n = self.rank
-        if self.group_type == "C" and i == n:
-            return self.images[n - 1] < 0
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"generator index {i} out of range")
-        return self.images[i - 1] % (2 * n + 1) > self.images[i] % (2 * n + 1)
-
-    def generator_indices(self) -> range:
-        return range(1, self.rank + 1) if self.group_type == "C" else range(1, self.rank)
-
-    def reduced_word(self) -> tuple[int, ...]:
-        """Canonical reduced word, built by stripping the smallest right descent."""
-        collected = []
-        cur = self
-        while not cur.is_identity():
-            for i in cur.generator_indices():
-                if cur.is_right_descent(i):
-                    collected.append(i)
-                    cur = cur.right_mult(i)
-                    break
-            else:
-                raise RuntimeError("non-identity element with no descent")
-        return tuple(reversed(collected))
-
-    def one_line(self) -> str:
-        return " ".join(str(x) for x in self.images)
-
-    def __str__(self) -> str:
-        return self.one_line()
 
 
 def positive_roots(group_type: str, rank: int) -> list[Polynomial]:
@@ -146,9 +49,9 @@ def positive_roots(group_type: str, rank: int) -> list[Polynomial]:
 
 def _subword_column(word, group_type: str, rank: int, parabolic, weights=None) -> dict:
     """Restrictions to the fixed point with reduced word `word` of the
-    classes of every minimal coset representative below it, as
-    {element: polynomial}, in the torus whose weights are the images of
-    y_1..y_rank (None: the identity).
+    classes of every minimal coset representative v below it, as
+    {one-line tuple of v^-1: polynomial}, in the torus whose weights are
+    the images of y_1..y_rank (None: the identity).
 
     Billey's formula sums, over the reduced subwords of q_1..q_L, the
     product of the roots beta_t = (q_1..q_{t-1}) . alpha_{q_t} at the chosen
@@ -201,24 +104,10 @@ def _subword_column(word, group_type: str, rank: int, parabolic, weights=None) -
             add = total * beta
             new_states[grown] = new_states[grown] + add if grown in new_states else add
         states = new_states
-    column = {}
-    for u, total in states.items():
-        images = [0] * rank
-        for position, a in enumerate(u, start=1):
-            images[abs(a) - 1] = position if a > 0 else -position
-        column[GroupElement._unchecked(group_type, tuple(images))] = total
-    return column
+    return states
 
 
 # -- cosets and lifts -------------------------------------------------------
-
-def coset_string(w: GroupElement, omega: LabelString) -> LabelString:
-    """The string whose position w(i) carries omega_i, dualized when the
-    image is negative."""
-    if len(omega) != w.rank:
-        raise ValueError("string length does not match the rank")
-    return LabelString(_coset_labels(w.images, omega.labels))
-
 
 def _coset_labels(images: tuple[int, ...], labels: tuple[Label, ...]) -> tuple[Label, ...]:
     out = [None] * len(images)
@@ -227,58 +116,62 @@ def _coset_labels(images: tuple[int, ...], labels: tuple[Label, ...]) -> tuple[L
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def shortest_lift(s: LabelString, omega: LabelString, group_type: str) -> GroupElement:
-    """The minimum-length w with coset_string(w, omega) = s.
+def shortest_lift(s: LabelString, omega: LabelString, group_type: str) -> tuple[int, ...]:
+    """The one-line images of the minimum-length w whose coset string for
+    omega is s.
 
-    Type A matches occurrences of each letter in order.  Type C (where
-    omega mixes only 0s and 10s) sends the 10s straight across and the 0s
-    first to the 0-positions of s in order, then to the 1-positions in
-    reverse order with a sign.
+    Each letter of omega goes, in order, to the positions of that letter in
+    s, in increasing order.  In type C (where omega mixes no 0 with a 1), a
+    0 or 1 then goes to the positions of its dual, in decreasing order and
+    with a sign; the 10s go straight across.
     """
     if len(s) != len(omega):
         raise ValueError("string length mismatch")
-    n = len(omega)
     if group_type == "A":
         if s.content() != omega.content():
             raise ValueError(f"{s.compact()} is not in the orbit of {omega.compact()}")
-        positions = {lab: [] for lab in Label}
-        for j, lab in enumerate(s, start=1):
-            positions[lab].append(j)
-        cursor = {lab: 0 for lab in Label}
-        images = []
-        for lab in omega:
-            images.append(positions[lab][cursor[lab]])
-            cursor[lab] += 1
-        w = GroupElement("A", tuple(images))
     else:
         if Label.ZERO in omega.labels and Label.ONE in omega.labels:
             raise ValueError("type C base string may not mix 0 and 1")
         if s.count(Label.TEN) != omega.count(Label.TEN):
             raise ValueError(f"{s.compact()} is not in the orbit of {omega.compact()}")
-        tens = [j for j, lab in enumerate(s, start=1) if lab is Label.TEN]
-        images = [0] * n
-        ten_cursor = 0
-        plain: dict[Label, list[int]] = {Label.ZERO: [], Label.ONE: []}
-        for j, lab in enumerate(s, start=1):
-            if lab is not Label.TEN:
-                plain[lab].append(j)
-        # unbarred targets in increasing order first, then barred in decreasing
-        targets: dict[Label, list[int]] = {}
-        for lab in (Label.ZERO, Label.ONE):
-            targets[lab] = plain[lab] + [-j for j in reversed(plain[lab.dual])]
-        cursor = {Label.ZERO: 0, Label.ONE: 0}
-        for i, lab in enumerate(omega):
-            if lab is Label.TEN:
-                images[i] = tens[ten_cursor]
-                ten_cursor += 1
-            else:
-                images[i] = targets[lab][cursor[lab]]
-                cursor[lab] += 1
-        w = GroupElement("C", tuple(images))
-    if coset_string(w, omega) != s:
+    positions = {lab: [j for j, x in enumerate(s, start=1) if x is lab] for lab in Label}
+    targets = {
+        lab: iter(positions[lab] + [-j for j in reversed(positions[lab.dual]) if group_type == "C"])
+        for lab in Label
+    }
+    images = tuple(next(targets[lab]) for lab in omega)
+    if _coset_labels(images, omega.labels) != s.labels:
         raise RuntimeError(f"shortest lift of {s.compact()} left the coset of {omega.compact()}")
-    return w
+    return images
+
+
+def reduced_word(images: tuple[int, ...], group_type: str) -> tuple[int, ...]:
+    """The canonical reduced word of the element with one-line `images`:
+    strip its smallest right descent until none is left, and read the
+    stripped letters backwards.  i < n is a right descent when
+    w(i) % (2n+1) > w(i+1) % (2n+1), the order of the roots on signed
+    indices; in type C, n is one when w(n) < 0.  Stripping i changes no
+    descent below i - 1, so the search resumes there."""
+    w = list(images)
+    n = len(w)
+    modulus = 2 * n + 1
+    stripped = []
+    i = 1
+    while True:
+        while i < n and w[i - 1] % modulus <= w[i] % modulus:
+            i += 1
+        if i < n:
+            w[i - 1], w[i] = w[i], w[i - 1]
+        elif group_type == "C" and n and w[-1] < 0:
+            w[-1] = -w[-1]
+        else:
+            break
+        stripped.append(i)
+        i = max(i - 1, 1)
+    if w != list(range(1, n + 1)):
+        raise ValueError(f"not a type {group_type} signed permutation: {images}")
+    return tuple(reversed(stripped))
 
 
 # -- the two-backend restriction -------------------------------------------
@@ -298,15 +191,18 @@ def _restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
     lambda in lex order where they differ is named otherwise."""
     omega = space.omega()
     group_type, rank, labels = space.weyl_type, space.rank, omega.labels
-    word = shortest_lift(mu, omega, group_type).reduced_word()
+    word = reduced_word(shortest_lift(mu, omega, group_type), group_type)
     parabolic = [i for i in range(1, rank) if labels[i - 1] == labels[i]]
     if group_type == "C" and labels[-1] is Label.TEN:
         parabolic.append(rank)
+    # a state u = v^-1 puts omega_|u_p| at position p, dualized when u_p < 0
+    signed = {i: label for i, label in enumerate(labels, start=1)}
+    signed.update((-i, label.dual) for i, label in enumerate(labels, start=1))
     by_subword = {}
-    for elem, value in _subword_column(word, group_type, rank, parabolic, weights).items():
+    for u, value in _subword_column(word, group_type, rank, parabolic, weights).items():
         if value.is_zero:
             continue
-        lam = _coset_labels(elem.images, labels)
+        lam = tuple(map(signed.__getitem__, u))
         if lam in by_subword:
             raise RuntimeError(
                 f"two subword states give {LabelString(lam).compact()}|{mu.compact()} on {space}"
@@ -346,5 +242,6 @@ def restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
 def restriction(lam: LabelString, mu: LabelString, space: Space, weights=None) -> Polynomial:
     """The restriction of the Schubert class lam to the fixed point mu: one
     entry of `restrictions_at(space, mu, weights)`."""
-    shortest_lift(lam, space.omega(), space.weyl_type)  # rejects lam outside the space
+    if lam not in space:
+        raise ValueError(f"{lam.compact()} is not in the orbit of {space.omega().compact()}")
     return restrictions_at(space, mu, weights).get(lam.labels, Polynomial.zero())

@@ -31,7 +31,7 @@ from schubpuzzles.schubert import (
     two_step_product,
 )
 from schubpuzzles.tensor import IDENTITY_NAMES, verify_identity
-from schubpuzzles.weyl import restriction, shortest_lift
+from schubpuzzles.weyl import reduced_word, restriction, shortest_lift
 
 parse = LabelString.parse
 
@@ -190,7 +190,7 @@ def test_criterion_9_delta_and_ten_conservation():
                 space = SpGr(k, n)
                 for mu in space.strings():
                     lift = shortest_lift(mu, space.omega(), "C")
-                    wiring = build_wiring_diagram(lift.reduced_word(), "C", n)
+                    wiring = build_wiring_diagram(reduced_word(lift, "C"), "C", n)
                     for (out, inn) in as_sparse_map(wiring).entries:
                         assert out.count(Label.TEN) == inn.count(Label.TEN)
                         ten_checks += 1

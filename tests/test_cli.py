@@ -112,6 +112,13 @@ def test_validation_errors_exit_1(capsys):
     assert code == 1 and "does not index" in err
     code, _, err = run(capsys, "crosscheck", "--which", "restriction", "--k", "1")
     assert code == 1
+    # sizes are checked before contents
+    for argv, message in (
+        (("restrict", "--lambda", "0011", "--k", "2", "--n", "0"), "need 0 <= k <= n, got SpGr(2,0)"),
+        (("restrict", "--lambda", "0011", "--k", "-1", "--n", "1"), "need 0 <= k <= n, got SpGr(-1,1)"),
+        (("product", "--lambda", "01", "--mu", "01", "--n", "-1"), "two-step product needs n >= 1, got n=-1"),
+    ):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
 
 
 def test_size_zero_spaces_exit_1_naming_the_space(capsys):
@@ -126,6 +133,9 @@ def test_size_zero_spaces_exit_1_naming_the_space(capsys):
          f"SpGr(0,0) {rank_zero}"),
         (("restriction-at-point", "--space", "fl", "--j", "0", "--k", "0", "--m", "0"),
          f"Fl(0,0,0) {rank_zero}"),
+        (("restrict", "--lambda", "", "--k", "0", "--n", "0"),
+         "restriction to SpGr(0,0) needs n >= 1, got n=0"),
+        (("product", "--lambda", "", "--mu", "", "--n", "0"), "two-step product needs n >= 1, got n=0"),
     ]
     for argv, message in cases:
         if argv[0] == "restriction-at-point":

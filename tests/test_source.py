@@ -46,7 +46,7 @@ def test_memo_layers_are_fixed():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(_is_memo_decorator(d) for d in node.decorator_list)
     }
-    assert memoized == {"_triangle", "_half", "shortest_lift", "_restrictions_at"}
+    assert memoized == {"_triangle", "_half", "_restrictions_at"}
 
 
 def test_cli_import_loads_no_dataclasses():

@@ -1,14 +1,18 @@
+import copy
 import itertools
 import random
 
 import pytest
 
-from schubpuzzles.labels import Label
+from schubpuzzles import tensor, weyl
+from schubpuzzles.diagram import build_half_diagram, transfer
+from schubpuzzles.labels import Fl, Gr, Label, SpGr
 from schubpuzzles.poly import Polynomial, u, y
 from schubpuzzles.tensor import (
     _trivalent_swap,
     IDENTITY_NAMES,
     LABELS,
+    UNIT,
     SparseMap,
     _k_fusion,
     compose,
@@ -158,3 +162,86 @@ def test_three_factor_tensor_product():
     assert (t.out_arity, t.in_arity) == (5, 5)
     assert t == tensor_product(tensor_product(a, b), c)
     assert t == tensor_product(a, tensor_product(b, c))
+
+
+# -- the entrywise constructors: the reference for the spliced families ----
+
+def reference_r_same_colour(argument: Polynomial) -> SparseMap:
+    entries: dict = {}
+    for k, l in itertools.product(LABELS, repeat=2):
+        entries[((k, l), (k, l))] = UNIT
+    weight = -argument
+    for out, inn in (((O, Z), (Z, O)), ((T, Z), (Z, T)), ((O, T), (T, O))):
+        entries[(out, inn)] = weight
+    return SparseMap(2, 2, entries)
+
+
+def reference_r_red_green(argument: Polynomial) -> SparseMap:
+    entries: dict = {((Z, O), (O, Z)): argument}
+    for i, j, k, l in tensor._RG_UNIT:
+        entries[((i, j), (k, l))] = UNIT
+    return SparseMap(2, 2, entries)
+
+
+def reference_k_blue(a: Polynomial) -> SparseMap:
+    entries: dict = {((x,), (x,)): UNIT for x in LABELS}
+    entries[((O,), (Z,))] = Polynomial.integer(-2) * a
+    return SparseMap(1, 1, entries)
+
+
+def _units(m: SparseMap):
+    """Where m holds the shared UNIT, in its entries and both indexes."""
+    return (
+        {key for key, w in m.entries.items() if w is UNIT},
+        {key: [w is UNIT for _, w in lst] for key, lst in m.by_input().items()},
+        {key: [w is UNIT for _, w in lst] for key, lst in m.by_output().items()},
+    )
+
+
+@pytest.mark.parametrize("build, reference", [
+    (r_same_colour, reference_r_same_colour),
+    (r_red_green, reference_r_red_green),
+    (k_blue, reference_k_blue),
+], ids=["r_same_colour", "r_red_green", "k_blue"])
+def test_spliced_matrices_equal_entrywise_construction(build, reference):
+    arguments = (y(1) - y(2), -y(3) - y(1), u(1), Polynomial.integer(3), UNIT, Polynomial.zero())
+    for argument in arguments:
+        got, want = build(argument), reference(argument)
+        assert (got.out_arity, got.in_arity) == (want.out_arity, want.in_arity)
+        assert list(got.entries.items()) == list(want.entries.items()), argument
+        assert list(got.by_input().items()) == list(want.by_input().items()), argument
+        assert list(got.by_output().items()) == list(want.by_output().items()), argument
+        assert _units(got) == _units(want), argument
+
+
+def _skeletons():
+    families = (tensor._R_SAME_COLOUR, tensor._R_RED_GREEN, tensor._K_BLUE)
+    return [(m.entries, m._by_input, m._by_output) for f in families for m in (f.full, f.unit)]
+
+
+def test_diagrams_build_and_transfer_without_regrouping(monkeypatch):
+    # the vertex matrices of wiring and half diagrams come indexed, and the
+    # index lists they share with their family's skeleton stay unchanged
+    before = copy.deepcopy(_skeletons())
+    calls = []
+    real_grouped = SparseMap._grouped
+
+    def counting_grouped(self, by_out):
+        calls.append(by_out)
+        return real_grouped(self, by_out)
+
+    monkeypatch.setattr(SparseMap, "_grouped", counting_grouped)
+    for space in (SpGr(1, 3), SpGr(3, 3), Gr(2, 4), Fl(1, 2, 4)):
+        for mu in space.strings():
+            # a fresh wiring diagram of mu's word, transferred forward
+            weyl._restrictions_at.__wrapped__(space, mu)
+    half = build_half_diagram(3)
+    for lam in Gr(3, 6).strings():
+        assert transfer(half, lam.labels, reverse=True)
+    assert transfer(half, (Z, O, T))
+    zero = r_same_colour(Polynomial.zero())
+    zero.by_input(), zero.by_output()
+    assert calls == []
+    SparseMap(1, 1, {((Z,), (Z,)): 1}).by_input()  # the counter does see a regrouping
+    assert calls == [False]
+    assert _skeletons() == before

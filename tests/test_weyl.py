@@ -3,18 +3,135 @@ import itertools
 import pytest
 
 from schubpuzzles import diagram, weyl
-from schubpuzzles.labels import Fl, Gr, LabelString, SpGr
+from schubpuzzles.labels import Fl, Gr, LabelString, Record, SpGr
 from schubpuzzles.poly import Polynomial, y
 from schubpuzzles.schubert import specialize_to_half_torus
-from schubpuzzles.weyl import (
-    GroupElement,
-    coset_string,
-    positive_roots,
-    restriction,
-    shortest_lift,
-)
+from schubpuzzles.weyl import positive_roots, reduced_word, restriction, shortest_lift
 
 parse = LabelString.parse
+
+
+# -- signed permutations as objects: the reference for the tuple functions --
+
+class GroupElement(Record):
+    __slots__ = ("group_type", "images")  # "A" or "C"; tuple[int, ...]
+
+    def __init__(self, group_type: str, images: tuple[int, ...]):
+        if group_type not in ("A", "C"):
+            raise ValueError(f"unknown group type {group_type!r}")
+        if sorted(abs(x) for x in images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"not a signed permutation: {images}")
+        if group_type == "A" and any(x < 0 for x in images):
+            raise ValueError("type A permutations have no negative entries")
+        super().__init__(group_type, images)
+
+    @classmethod
+    def identity(cls, group_type: str, rank: int) -> "GroupElement":
+        return cls(group_type, tuple(range(1, rank + 1)))
+
+    @property
+    def rank(self) -> int:
+        return len(self.images)
+
+    def apply(self, j: int) -> int:
+        """The image of the signed index j."""
+        return self.images[j - 1] if j > 0 else -self.images[-j - 1]
+
+    def is_identity(self) -> bool:
+        return self.images == tuple(range(1, self.rank + 1))
+
+    @classmethod
+    def _unchecked(cls, group_type: str, images: tuple[int, ...]) -> "GroupElement":
+        # products of generators and inverses stay signed permutations, so
+        # they skip __init__'s check
+        element = object.__new__(cls)
+        object.__setattr__(element, "group_type", group_type)
+        object.__setattr__(element, "images", images)
+        return element
+
+    def right_mult(self, i: int) -> "GroupElement":
+        """The composite self o s_i, without building the generator."""
+        n = self.rank
+        imgs = list(self.images)
+        if self.group_type == "C" and i == n:
+            imgs[n - 1] = -imgs[n - 1]
+        elif 1 <= i <= n - 1:
+            imgs[i - 1], imgs[i] = imgs[i], imgs[i - 1]
+        else:
+            raise ValueError(f"generator index {i} out of range")
+        return GroupElement._unchecked(self.group_type, tuple(imgs))
+
+    def inverse(self) -> "GroupElement":
+        images = [0] * self.rank
+        for position, a in enumerate(self.images, start=1):
+            images[abs(a) - 1] = position if a > 0 else -position
+        return GroupElement._unchecked(self.group_type, tuple(images))
+
+    def length(self) -> int:
+        """Coxeter length: inversions in type A, positive roots sent negative in type C."""
+        n = self.rank
+        w = self.images
+        if self.group_type == "A":
+            return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+        total = sum(1 for x in w if x < 0)
+        m = 2 * n + 1  # y_a - y_b < 0 exactly when a % m > b % m
+        for i in range(n):
+            for j in range(i + 1, n):
+                if w[i] % m > w[j] % m:  # y_i - y_j
+                    total += 1
+                if w[i] % m > -w[j] % m:  # y_i + y_j
+                    total += 1
+        return total
+
+    def is_right_descent(self, i: int) -> bool:
+        """Whether multiplying by s_i on the right shortens the element."""
+        n = self.rank
+        if self.group_type == "C" and i == n:
+            return self.images[n - 1] < 0
+        if not 1 <= i <= n - 1:
+            raise ValueError(f"generator index {i} out of range")
+        return self.images[i - 1] % (2 * n + 1) > self.images[i] % (2 * n + 1)
+
+    def generator_indices(self) -> range:
+        return range(1, self.rank + 1) if self.group_type == "C" else range(1, self.rank)
+
+    def reduced_word(self) -> tuple[int, ...]:
+        """Canonical reduced word, built by stripping the smallest right descent."""
+        collected = []
+        cur = self
+        while not cur.is_identity():
+            for i in cur.generator_indices():
+                if cur.is_right_descent(i):
+                    collected.append(i)
+                    cur = cur.right_mult(i)
+                    break
+            else:
+                raise RuntimeError("non-identity element with no descent")
+        return tuple(reversed(collected))
+
+    def one_line(self) -> str:
+        return " ".join(str(x) for x in self.images)
+
+    def __str__(self) -> str:
+        return self.one_line()
+
+
+def coset_string(w: GroupElement, omega: LabelString) -> LabelString:
+    """The string whose position w(i) carries omega_i, dualized when the
+    image is negative."""
+    if len(omega) != w.rank:
+        raise ValueError("string length does not match the rank")
+    return LabelString(weyl._coset_labels(w.images, omega.labels))
+
+
+def lift_of(s: LabelString, space) -> GroupElement:
+    """shortest_lift of s as a checked GroupElement."""
+    return GroupElement(space.weyl_type, shortest_lift(s, space.omega(), space.weyl_type))
+
+
+def subword_elements(column: dict, group_type: str) -> dict:
+    """A `_subword_column` result keyed by the element v, not by v^-1."""
+    return {GroupElement(group_type, u).inverse(): value for u, value in column.items()}
 
 
 # -- the full-group subword DP: the reference for the parabolic one ---------
@@ -304,9 +421,9 @@ def test_coset_string():
 
 def test_shortest_lift_examples():
     gr = Gr(1, 2)
-    assert shortest_lift(gr.omega(), gr.omega(), "A").is_identity()
-    assert shortest_lift(parse("10"), gr.omega(), "A").images == (2, 1)
-    lift = shortest_lift(parse("20"), SpGr(1, 2).omega(), "C")
+    assert lift_of(gr.omega(), gr).is_identity()
+    assert shortest_lift(parse("10"), gr.omega(), "A") == (2, 1)
+    lift = lift_of(parse("20"), SpGr(1, 2))
     assert lift.length() == 1
 
 
@@ -335,9 +452,42 @@ def test_shortest_lift_minimal_and_round_trip():
             s = coset_string(w, omega)
             best[s] = min(best.get(s, 99), w.length())
         for s in space.strings():
-            lift = shortest_lift(s, omega, space.weyl_type)
+            lift = lift_of(s, space)
             assert coset_string(lift, omega) == s
             assert lift.length() == best[s], (str(space), s.compact())
+
+
+def test_reduced_word_matches_group_element_reference():
+    for group_type in ("A", "C"):
+        for rank in range(5):
+            for w in all_elements(group_type, rank):
+                assert reduced_word(w.images, group_type) == w.reduced_word(), w
+    for images, group_type in (((1, 1, 3), "A"), ((1, -2, 3), "A"), ((2, 0), "C"), ((1, 3), "C")):
+        with pytest.raises(ValueError, match="signed permutation"):
+            reduced_word(images, group_type)
+
+
+def _swept_spaces():
+    """Every space whose strings some test in this file sweeps."""
+    yield from _spaces_small()
+    yield from (Gr(2, 6), Gr(3, 6), SpGr(2, 3), SpGr(3, 3), SpGr(2, 4), SpGr(4, 4), Fl(1, 2, 4), Gr(2, 8))
+    for m in range(1, 7):
+        yield from (Gr(k, m) for k in range(m + 1))
+        yield from (SpGr(k, m) for k in range(m + 1))
+        yield from (Fl(j, k, m) for k in range(m + 1) for j in range(k + 1))
+
+
+def test_shortest_lift_matches_group_element_reference():
+    # the minimal coset representative is the one element of its coset with
+    # no right descent in the generators that fix omega
+    for space in _swept_spaces():
+        omega, group_type = space.omega(), space.weyl_type
+        parabolic = parabolic_generators(space)
+        for s in space.strings():
+            lift = lift_of(s, space)
+            assert coset_string(lift, omega) == s, (str(space), s.compact())
+            assert not any(lift.is_right_descent(i) for i in parabolic), (str(space), s.compact())
+            assert reduced_word(lift.images, group_type) == lift.reduced_word()
 
 
 def test_subword_restriction_base_cases():
@@ -354,7 +504,7 @@ def test_subword_restriction_diagonal_is_root_product():
     for space in (Gr(2, 4), SpGr(1, 2), SpGr(2, 2)):
         omega = space.omega()
         for s in space.strings():
-            w = shortest_lift(s, omega, space.weyl_type)
+            w = lift_of(s, space)
             word = w.reduced_word()
             expected = Polynomial.integer(1)
             prefix = GroupElement.identity(space.weyl_type, space.rank)
@@ -393,20 +543,21 @@ def test_parabolic_table_equals_full_table_on_coset_representatives():
     )
     for space in spaces:
         omega = space.omega()
-        lifts = [shortest_lift(lam, omega, space.weyl_type) for lam in space.strings()]
+        lifts = [lift_of(lam, space) for lam in space.strings()]
         parabolic = parabolic_generators(space)
         weights = tuple(specialize_to_half_torus(y(i), 4) for i in range(1, space.rank + 1))
         weighted = space in (SpGr(2, 4), Gr(2, 8))
         for mu in space.strings():
-            sigma = shortest_lift(mu, omega, space.weyl_type)
+            sigma = lift_of(mu, space)
             args = (sigma.reduced_word(), space.weyl_type, space.rank, parabolic)
-            table = weyl._subword_column(*args)
+            table = subword_elements(weyl._subword_column(*args), space.weyl_type)
             full = full_subword_table(sigma)
             assert table == {w: full[w] for w in lifts if w in full}, (str(space), mu.compact())
             assert len(table) <= len(lifts)
             if weighted:
                 expected = {w: specialize_to_half_torus(full[w], 4) for w in table}
-                assert weyl._subword_column(*args, weights) == expected, (str(space), mu.compact())
+                weighted_table = subword_elements(weyl._subword_column(*args, weights), space.weyl_type)
+                assert weighted_table == expected, (str(space), mu.compact())
 
 
 def test_parabolic_generators_read_off_omega(monkeypatch):
@@ -458,12 +609,12 @@ def test_backend_disagreement_raises(monkeypatch):
     # that entry, even when a different class is asked for
     space = Gr(2, 4)
     mu = parse("1100")
-    perturbed_lift = shortest_lift(parse("0101"), space.omega(), "A")
+    perturbed_state = lift_of(parse("0101"), space).inverse().images
     real_column = weyl._subword_column
 
     def perturbed_column(word, group_type, rank, parabolic, weights=None):
         table = dict(real_column(word, group_type, rank, parabolic, weights))
-        table[perturbed_lift] = table.get(perturbed_lift, Polynomial.zero()) + 1
+        table[perturbed_state] = table.get(perturbed_state, Polynomial.zero()) + 1
         return table
 
     weyl._restrictions_at.cache_clear()
@@ -496,9 +647,9 @@ def _column_mismatch_raises(monkeypatch, module, name, change, mu: str, match: s
 
 
 def test_column_comparison_catches_a_dropped_subword_class(monkeypatch):
-    lift = shortest_lift(parse("0101"), Gr(2, 4).omega(), "A")
+    state = lift_of(parse("0101"), Gr(2, 4)).inverse().images
     _column_mismatch_raises(
-        monkeypatch, weyl, "_subword_column", lambda table: table.pop(lift),
+        monkeypatch, weyl, "_subword_column", lambda table: table.pop(state),
         "1100", r"disagreement for 0101\|1100 on Gr\(2,4\): subword 0 vs wiring",
     )
 
@@ -514,11 +665,11 @@ def test_column_comparison_catches_an_extra_wiring_entry(monkeypatch):
 
 def test_column_comparison_catches_two_states_in_one_coset(monkeypatch):
     # 0101's lift times s_1 (in J for Gr(2,4)) lies in the same coset
-    lift = shortest_lift(parse("0101"), Gr(2, 4).omega(), "A")
+    lift = lift_of(parse("0101"), Gr(2, 4))
     other = lift.right_mult(1)
     assert coset_string(other, Gr(2, 4).omega()) == parse("0101")
     _column_mismatch_raises(
-        monkeypatch, weyl, "_subword_column", lambda table: table.update({other: y(1)}),
+        monkeypatch, weyl, "_subword_column", lambda table: table.update({other.inverse().images: y(1)}),
         "1100", r"two subword states give 0101\|1100 on Gr\(2,4\)",
     )
 
@@ -537,21 +688,19 @@ def test_restriction_in_half_torus_equals_specialized_restriction():
                     assert direct == specialize_to_half_torus(restriction(lam, mu, space), n)
 
 
+def test_restriction_rejects_lambda_outside_the_space():
+    for lam, space in ((parse("11"), Gr(1, 2)), (parse("011"), Gr(1, 2)), (parse("02"), SpGr(2, 2)),
+                       (parse("2"), SpGr(1, 2)), (parse("012"), Fl(1, 1, 3))):
+        with pytest.raises(ValueError, match="is not in the orbit of"):
+            restriction(lam, space.omega(), space)
+
+
 def test_restriction_weights_length_checked():
     space = Gr(1, 4)
     omega = space.omega()
     for weights in ((y(1), y(2), y(3)), tuple(y(i) for i in range(1, 6))):
         with pytest.raises(ValueError, match="weights"):
             restriction(omega, omega, space, weights)
-
-
-def test_shortest_lift_cached_and_clearable():
-    space = SpGr(1, 3)
-    s = space.strings()[-1]
-    first = shortest_lift(s, space.omega(), "C")
-    assert shortest_lift(s, space.omega(), "C") is first
-    shortest_lift.cache_clear()
-    assert shortest_lift(s, space.omega(), "C") == first
 
 
 def test_positive_roots():
