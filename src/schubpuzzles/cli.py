@@ -19,9 +19,14 @@ import json
 import sys
 
 from . import schubert
-from .diagram import build_half_diagram, build_triangle_diagram, enumerate_labelings
+from .diagram import (
+    IDENTITY_NAMES,
+    build_half_diagram,
+    build_triangle_diagram,
+    enumerate_labelings,
+    verify_identity,
+)
 from .labels import Fl, Gr, LabelString, SpGr
-from .tensor import IDENTITY_NAMES, verify_identity
 from .weyl import restriction
 
 

@@ -22,6 +22,11 @@ Three families are built here:
 * wiring diagrams of reduced words -- fixed-point restrictions, with a
   same-colour crossing per simple transposition and a blue bounce for the
   sign generator.
+
+Next to them, the identity diagrams: the two sides of each diagram move
+(Yang-Baxter, trivalent swap, reflection, K-fusion) that the puzzle rules
+rest on, grown as two move sequences on one row of input strands.  An
+identity holds when both sides have the same boundary map.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import itertools
 from typing import NamedTuple
 
 from .labels import LABELS, Label, LabelString, Record
-from .poly import Polynomial, y
+from .poly import Polynomial, u, y
 from .tensor import UNIT, SparseMap, k_blue, k_red, r_red_green, r_same_colour, u_split
 
 
@@ -320,16 +325,6 @@ def transfer(diagram: ScatteringDiagram, boundary, reverse: bool = False) -> Col
     return column
 
 
-def evaluate_entry(diagram: ScatteringDiagram, out_labels, in_labels) -> Polynomial:
-    """The exact (out, in) boundary matrix entry of the diagram."""
-    out_key = tuple(out_labels)
-    if len(out_key) != diagram.n_outputs:
-        raise ValueError(
-            f"output boundary has {len(out_key)} labels, diagram wants {diagram.n_outputs}"
-        )
-    return transfer(diagram, in_labels).get(out_key, Polynomial.zero())
-
-
 # -- explicit enumeration --------------------------------------------------
 
 class Labeling(NamedTuple):
@@ -446,3 +441,49 @@ def as_sparse_map(diagram: ScatteringDiagram) -> SparseMap:
         for out, weight in transfer(diagram, inn).items():
             entries[(out, inn)] = weight
     return SparseMap(diagram.n_outputs, diagram.n_inputs, entries)
+
+
+# -- the diagram-move identities --------------------------------------------
+
+_YANG_BAXTER = ("cross 0, cross 1, cross 0", "cross 1, cross 0, cross 1")
+_REFLECTION = ("cross 0, bounce 1, cross 0, bounce 1", "bounce 1, cross 0, bounce 1, cross 0")
+
+# identity name -> input colours, input parameters (+-i stands for +-u_i),
+# and the builder moves of the left and right side, bottom to top
+_IDENTITIES = {
+    "yb-rrg": ("RRG", (3, 2, 1), *_YANG_BAXTER),
+    "yb-ggr": ("RGG", (3, 2, 1), *_YANG_BAXTER),
+    "yb-ggg": ("GGG", (3, 2, 1), *_YANG_BAXTER),
+    "yb-bbb": ("BBB", (3, 2, 1), *_YANG_BAXTER),
+    "trivalent-swap": ("BB", (2, 1), "cross 0, split 0, split 2, cross 1",
+                       "split 0, split 2, cross 1, cross 0, cross 2"),
+    "reflection-rg": ("RR", (-1, -2), *_REFLECTION),
+    "reflection-bb": ("BB", (-1, -2), *_REFLECTION),
+    "k-fusion": ("B", (-1,), "bounce 0, split 0, bounce 1", "split 0, bounce 1, cross 0"),
+}
+
+IDENTITY_NAMES = tuple(_IDENTITIES)
+
+
+def _identity_sides(which: str) -> tuple[ScatteringDiagram, ScatteringDiagram]:
+    """The left and right diagram of an identity.  The u_i are made here, not
+    at import, so that importing the package registers no variable."""
+    if which not in _IDENTITIES:
+        raise ValueError(f"unknown identity {which!r}")
+    colours, params, *sides = _IDENTITIES[which]
+    diagrams = []
+    for moves in sides:
+        b = _Builder(f"{which}: {moves}")
+        for colour, i in zip(colours, params):
+            b.add_input(colour, u(i) if i > 0 else -u(-i))
+        for move in moves.split(", "):
+            kind, pos = move.split()
+            getattr(b, kind)(int(pos))
+        diagrams.append(b.finish())
+    return tuple(diagrams)
+
+
+def verify_identity(which: str) -> bool:
+    """Whether both sides of the named identity have the same boundary map."""
+    lhs, rhs = _identity_sides(which)
+    return as_sparse_map(lhs) == as_sparse_map(rhs)

@@ -179,6 +179,8 @@ def duality_check(k: int, m: int) -> Report:
     if not 0 <= k <= m:
         raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
     space = Gr(k, m)
+    if m < 1:
+        raise ValueError(f"duality on {space} needs m >= 1, got m={m}")
     checked = failed = 0
     first = None
     strings = space.strings()

@@ -1,5 +1,5 @@
-"""Sparse R-, K-, and U-matrices over the polynomial ring, and the
-diagram-move identities they satisfy.
+"""Sparse R-, K-, and U-matrices over the polynomial ring: the vertex
+matrices that scattering diagrams contract.
 
 Conventions, fixed once for the whole package:
 
@@ -21,10 +21,9 @@ With basis tuples ordered lexicographically in the alphabet order
 from __future__ import annotations
 
 import itertools
-from functools import partial
 
 from .labels import LABELS, Label
-from .poly import Polynomial, u
+from .poly import Polynomial
 
 Z0, T10, O1 = Label.ZERO, Label.TEN, Label.ONE
 
@@ -96,39 +95,6 @@ class SparseMap:
 
     def __repr__(self) -> str:
         return f"SparseMap(out_arity={self.out_arity}, in_arity={self.in_arity}, {len(self.entries)} entries)"
-
-
-def identity_map(arity: int) -> SparseMap:
-    entries = {}
-    for word in itertools.product(LABELS, repeat=arity):
-        entries[(word, word)] = 1
-    return SparseMap(arity, arity, entries)
-
-
-def compose(f: SparseMap, g: SparseMap) -> SparseMap:
-    """The composition f after g."""
-    if f.in_arity != g.out_arity:
-        raise ValueError("arity mismatch in composition")
-    acc: dict = {}
-    f_by_in = f.by_input()
-    for (mid, inn), gw in g.entries.items():
-        for out, fw in f_by_in.get(mid, ()):
-            key = (out, inn)
-            w = fw * gw
-            acc[key] = acc[key] + w if key in acc else w
-    return SparseMap(f.out_arity, g.in_arity, acc)
-
-
-def tensor_product(*maps: SparseMap) -> SparseMap:
-    """The tensor product of one or more maps, leftmost factor first."""
-    f = maps[0]
-    for g in maps[1:]:
-        acc = {}
-        for (fo, fi), fw in f.entries.items():
-            for (go, gi), gw in g.entries.items():
-                acc[(fo + go, fi + gi)] = fw * gw
-        f = SparseMap(f.out_arity + g.out_arity, f.in_arity + g.in_arity, acc)
-    return f
 
 
 # -- the matrices -------------------------------------------------------
@@ -256,105 +222,3 @@ def u_split() -> SparseMap:
     """
     entries = {((i, j), (k,)): 1 for i, j, k in _U_UNIT}
     return SparseMap(2, 1, entries)
-
-
-# -- the identity suite --------------------------------------------------
-
-def _yang_baxter(top, middle, bottom) -> tuple[SparseMap, SparseMap]:
-    """Yang-Baxter for three strands with parameters u1, u2, u3.
-
-    `top`, `middle` and `bottom` construct the crossings of the left side,
-    read top to bottom; the right side has the same crossings mirrored.
-    """
-    u1, u2, u3 = u(1), u(2), u(3)
-    ident = identity_map(1)
-    lhs = compose(
-        tensor_product(top(u2 - u1), ident),
-        compose(
-            tensor_product(ident, middle(u3 - u1)),
-            tensor_product(bottom(u3 - u2), ident),
-        ),
-    )
-    rhs = compose(
-        tensor_product(ident, bottom(u3 - u2)),
-        compose(
-            tensor_product(middle(u3 - u1), ident),
-            tensor_product(ident, top(u2 - u1)),
-        ),
-    )
-    return lhs, rhs
-
-
-def _trivalent_swap(u_map: SparseMap | None = None) -> tuple[SparseMap, SparseMap]:
-    u1, u2 = u(1), u(2)
-    ident = identity_map(1)
-    uu = u_map if u_map is not None else u_split()
-    lhs = compose(
-        tensor_product(ident, r_red_green(u1 - u2), ident),
-        compose(tensor_product(uu, uu), r_same_colour(u2 - u1)),
-    )
-    rhs = compose(
-        tensor_product(r_same_colour(u2 - u1), r_same_colour(u2 - u1)),
-        compose(
-            tensor_product(ident, r_red_green(u2 - u1), ident),
-            tensor_product(uu, uu),
-        ),
-    )
-    return lhs, rhs
-
-
-def _reflection(mixed: bool) -> tuple[SparseMap, SparseMap]:
-    """Reflection at the wall; mixed=True uses K_R, else all-blue with K_B."""
-    u1, u2 = u(1), u(2)
-    ident = identity_map(1)
-    bounce = (lambda a: k_red()) if mixed else k_blue
-    wall_cross = r_red_green if mixed else r_same_colour
-    lhs = compose(
-        tensor_product(ident, bounce(-u2)),
-        compose(
-            wall_cross(-u2 - u1),
-            compose(tensor_product(ident, bounce(-u1)), r_same_colour(-u1 + u2)),
-        ),
-    )
-    rhs = compose(
-        r_same_colour(u2 - u1),
-        compose(
-            tensor_product(ident, bounce(-u1)),
-            compose(wall_cross(-u1 - u2), tensor_product(ident, bounce(-u2))),
-        ),
-    )
-    return lhs, rhs
-
-
-def _k_fusion(u_map: SparseMap | None = None) -> tuple[SparseMap, SparseMap]:
-    u1 = u(1)
-    ident = identity_map(1)
-    uu = u_map if u_map is not None else u_split()
-    lhs = compose(tensor_product(ident, k_red()), compose(uu, k_blue(-u1)))
-    rhs = compose(
-        r_same_colour(Polynomial.integer(-2) * u1),
-        compose(tensor_product(ident, k_red()), uu),
-    )
-    return lhs, rhs
-
-
-# identity name -> builder of its two sides, in suite order
-_IDENTITY_SIDES = {
-    "yb-rrg": partial(_yang_baxter, r_red_green, r_red_green, r_same_colour),
-    "yb-ggr": partial(_yang_baxter, r_same_colour, r_red_green, r_red_green),
-    "yb-ggg": partial(_yang_baxter, r_same_colour, r_same_colour, r_same_colour),
-    "yb-bbb": partial(_yang_baxter, r_same_colour, r_same_colour, r_same_colour),
-    "trivalent-swap": _trivalent_swap,
-    "reflection-rg": partial(_reflection, mixed=True),
-    "reflection-bb": partial(_reflection, mixed=False),
-    "k-fusion": _k_fusion,
-}
-
-IDENTITY_NAMES = tuple(_IDENTITY_SIDES)
-
-
-def verify_identity(which: str) -> bool:
-    if which not in _IDENTITY_SIDES:
-        raise ValueError(f"unknown identity {which!r}")
-    lhs, rhs = _IDENTITY_SIDES[which]()
-    return lhs == rhs

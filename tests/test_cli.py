@@ -55,6 +55,13 @@ def test_verify_identities(capsys):
     code, out, _ = run(capsys, "verify-identities")
     assert code == 0
     assert out == "8/8 identities hold\n"
+    code, out, _ = run(capsys, "verify-identities", "--format", "json")
+    assert code == 0
+    assert out == (
+        '{"checked": 8, "failed": 0, "results": {"yb-rrg": true, "yb-ggr": true, '
+        '"yb-ggg": true, "yb-bbb": true, "trivalent-swap": true, "reflection-rg": true, '
+        '"reflection-bb": true, "k-fusion": true}}\n'
+    )
 
 
 def test_restriction_at_point(capsys):
@@ -136,6 +143,7 @@ def test_size_zero_spaces_exit_1_naming_the_space(capsys):
         (("restrict", "--lambda", "", "--k", "0", "--n", "0"),
          "restriction to SpGr(0,0) needs n >= 1, got n=0"),
         (("product", "--lambda", "", "--mu", "", "--n", "0"), "two-step product needs n >= 1, got n=0"),
+        (("duality", "--k", "0", "--m", "0"), "duality on Gr(0,0) needs m >= 1, got m=0"),
     ]
     for argv, message in cases:
         if argv[0] == "restriction-at-point":

@@ -9,20 +9,12 @@ from schubpuzzles.diagram import (
     build_triangle_diagram,
     build_wiring_diagram,
     enumerate_labelings,
-    evaluate_entry,
     transfer,
 )
 from schubpuzzles.labels import Label, LabelString, SpGr, strings_with_content
 from schubpuzzles.poly import Polynomial, y
-from schubpuzzles.tensor import (
-    UNIT,
-    SparseMap,
-    compose,
-    identity_map,
-    k_blue,
-    r_same_colour,
-    tensor_product,
-)
+from schubpuzzles.tensor import UNIT, SparseMap, k_blue, r_same_colour
+from test_tensor import compose, identity_map, tensor_product
 
 parse = LabelString.parse
 
@@ -104,24 +96,24 @@ def test_half_delta_entry():
     omega = SpGr(1, 2).omega()
     for lam in strings_with_content(4, (1, 0, 3)):
         expected = 1 if lam == omega.double() else 0
-        assert evaluate_entry(d, lam, omega) == expected
+        assert transfer(d, omega).get(lam.labels, 0) == expected
 
 
 def test_half_entries_golden():
     d = build_half_diagram(3)
     lam = parse("110101")
-    assert evaluate_entry(d, lam, parse("120")) == 1
-    assert evaluate_entry(d, lam, parse("210")) == y(2) - y(3)
-    assert evaluate_entry(d, lam, parse("211")) == 1
-    assert evaluate_entry(d, lam, parse("201")) == 0
+    assert transfer(d, parse("120")).get(lam.labels, 0) == 1
+    assert transfer(d, parse("210")).get(lam.labels, 0) == y(2) - y(3)
+    assert transfer(d, parse("211")).get(lam.labels, 0) == 1
+    assert transfer(d, parse("201")).get(lam.labels, 0) == 0
 
 
 def test_evaluate_length_mismatch():
     d = build_half_diagram(2)
-    with pytest.raises(ValueError):
-        evaluate_entry(d, parse("01"), parse("01"))
-    with pytest.raises(ValueError):
-        evaluate_entry(d, parse("0101"), parse("011"))
+    with pytest.raises(ValueError, match="input boundary has 3 labels, diagram wants 2"):
+        transfer(d, parse("011"))
+    with pytest.raises(ValueError, match="output boundary has 2 labels, diagram wants 4"):
+        transfer(d, parse("01"), reverse=True)
 
 
 def test_enumerate_golden_counts():

@@ -49,15 +49,39 @@ def test_memo_layers_are_fixed():
     assert memoized == {"_triangle", "_half", "_restrictions_at"}
 
 
-def test_cli_import_loads_no_dataclasses():
-    # importing dataclasses pulls in inspect, ast, dis and tokenize, and each
-    # @dataclass execs generated methods: a one-off CLI query pays both at
-    # every interpreter start-up
+def _after_cli_import(expression: str) -> str:
+    """What a fresh interpreter prints for `expression` once it has imported
+    schubpuzzles.cli and nothing else."""
     src = str(pathlib.Path(schubpuzzles.__file__).parents[1])
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-c",
          f"import sys; sys.path.insert(0, {src!r}); import schubpuzzles.cli; "
-         "print('dataclasses' in sys.modules)"],
+         f"print({expression})"],
         capture_output=True, text=True, check=True,
     )
-    assert done.stdout == "False\n"
+    return done.stdout
+
+
+def test_cli_import_loads_no_dataclasses():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize, and each
+    # @dataclass execs generated methods: a one-off CLI query pays both at
+    # every interpreter start-up
+    assert _after_cli_import("'dataclasses' in sys.modules") == "False\n"
+
+
+def test_cli_import_registers_no_variable():
+    # a variable's slot is its registration order, so one registered at
+    # import (a u_i, say) would shift every y slot in the packed monomials
+    assert _after_cli_import("schubpuzzles.poly._VAR_NAMES") == "[]\n"
+
+
+def test_one_contraction_kernel():
+    # diagrams evaluate by `transfer` alone; the matrix algebra that once
+    # composed the identity sides is a test-side reference only
+    defined = {
+        (path.name, node.name)
+        for path, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("compose", "tensor_product")
+    }
+    assert not defined, defined

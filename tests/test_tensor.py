@@ -4,29 +4,63 @@ import random
 
 import pytest
 
-from schubpuzzles import tensor, weyl
-from schubpuzzles.diagram import build_half_diagram, transfer
+from schubpuzzles import diagram, tensor, weyl
+from schubpuzzles.diagram import (
+    IDENTITY_NAMES,
+    _identity_sides,
+    as_sparse_map,
+    build_half_diagram,
+    transfer,
+    verify_identity,
+)
 from schubpuzzles.labels import Fl, Gr, Label, SpGr
 from schubpuzzles.poly import Polynomial, u, y
 from schubpuzzles.tensor import (
-    _trivalent_swap,
-    IDENTITY_NAMES,
     LABELS,
     UNIT,
     SparseMap,
-    _k_fusion,
-    compose,
-    identity_map,
     k_blue,
     k_red,
     r_red_green,
     r_same_colour,
-    tensor_product,
     u_split,
-    verify_identity,
 )
 
 Z, T, O = Label.ZERO, Label.TEN, Label.ONE
+
+
+# -- the matrix algebra: the reference that diagram contraction is tested
+# against, by the vertex-convention tests here and the worked wiring example
+
+def identity_map(arity: int) -> SparseMap:
+    entries = {(word, word): 1 for word in itertools.product(LABELS, repeat=arity)}
+    return SparseMap(arity, arity, entries)
+
+
+def compose(f: SparseMap, g: SparseMap) -> SparseMap:
+    """The composition f after g."""
+    if f.in_arity != g.out_arity:
+        raise ValueError("arity mismatch in composition")
+    acc: dict = {}
+    f_by_in = f.by_input()
+    for (mid, inn), gw in g.entries.items():
+        for out, fw in f_by_in.get(mid, ()):
+            key = (out, inn)
+            w = fw * gw
+            acc[key] = acc[key] + w if key in acc else w
+    return SparseMap(f.out_arity, g.in_arity, acc)
+
+
+def tensor_product(*maps: SparseMap) -> SparseMap:
+    """The tensor product of one or more maps, leftmost factor first."""
+    f = maps[0]
+    for g in maps[1:]:
+        acc = {}
+        for (fo, fi), fw in f.entries.items():
+            for (go, gi), gw in g.entries.items():
+                acc[(fo + go, fi + gi)] = fw * gw
+        f = SparseMap(f.out_arity + g.out_arity, f.in_arity + g.in_arity, acc)
+    return f
 
 
 def random_sparse_map(rng: random.Random, out_arity: int, in_arity: int, density: float = 0.3) -> SparseMap:
@@ -115,18 +149,73 @@ def test_unknown_identity():
         verify_identity("no-such-identity")
 
 
-def test_identities_detect_perturbed_split_matrix():
+def test_identities_detect_perturbed_split_matrix(monkeypatch):
     # a stray unit entry at (green,red|blue) = (1,1,0) slips through the
     # fusion identity (both sides grow the same term) but breaks the
     # trivalent swap; one at (0,0|1) breaks fusion directly
     perturbed = SparseMap(2, 1, {**u_split().entries, ((O, O), (Z,)): Polynomial.integer(1)})
-    lhs, rhs = _k_fusion(u_map=perturbed)
-    assert lhs == rhs
-    lhs, rhs = _trivalent_swap(u_map=perturbed)
-    assert lhs != rhs
+    monkeypatch.setattr(diagram, "_U_SPLIT", perturbed)
+    assert verify_identity("k-fusion")
+    assert not verify_identity("trivalent-swap")
     perturbed = SparseMap(2, 1, {**u_split().entries, ((Z, Z), (O,)): Polynomial.integer(1)})
-    lhs, rhs = _k_fusion(u_map=perturbed)
-    assert lhs != rhs
+    monkeypatch.setattr(diagram, "_U_SPLIT", perturbed)
+    assert not verify_identity("k-fusion")
+
+
+def test_identity_sides_differ_in_their_moves():
+    # two sides built from the same moves would agree whatever the matrices
+    for name in IDENTITY_NAMES:
+        lhs, rhs = _identity_sides(name)
+        moves = [[(v.kind, v.position) for v in d.vertices] for d in (lhs, rhs)]
+        assert moves[0] != moves[1], name
+
+
+def _bottom_to_top(*layers: SparseMap) -> SparseMap:
+    composite = layers[0]
+    for layer in layers[1:]:
+        composite = compose(layer, composite)
+    return composite
+
+
+def _left_sides():
+    """The left side of five identities as matrix composites, bottom to top.
+    Between them they use both crossing families, K_R, K_B and U."""
+    u1, u2, u3 = u(1), u(2), u(3)
+    ident = identity_map(1)
+    split = u_split()
+    return {
+        "yb-rrg": _bottom_to_top(
+            tensor_product(r_same_colour(u3 - u2), ident),
+            tensor_product(ident, r_red_green(u3 - u1)),
+            tensor_product(r_red_green(u2 - u1), ident),
+        ),
+        "trivalent-swap": _bottom_to_top(
+            r_same_colour(u2 - u1),
+            tensor_product(split, split),
+            tensor_product(ident, r_red_green(u1 - u2), ident),
+        ),
+        "reflection-rg": _bottom_to_top(
+            r_same_colour(u2 - u1),
+            tensor_product(ident, k_red()),
+            r_red_green(-u2 - u1),
+            tensor_product(ident, k_red()),
+        ),
+        "reflection-bb": _bottom_to_top(
+            r_same_colour(u2 - u1),
+            tensor_product(ident, k_blue(-u1)),
+            r_same_colour(-u2 - u1),
+            tensor_product(ident, k_blue(-u2)),
+        ),
+        "k-fusion": _bottom_to_top(k_blue(-u1), split, tensor_product(ident, k_red())),
+    }
+
+
+def test_identity_diagrams_follow_the_matrix_conventions():
+    # each vertex of an identity diagram carries the matrix, argument and
+    # strand positions that the composite written out by hand gives it
+    for name, composite in _left_sides().items():
+        lhs, _ = _identity_sides(name)
+        assert as_sparse_map(lhs) == composite, name
 
 
 def test_compose_associative_and_identity():
