@@ -36,7 +36,9 @@ from typing import NamedTuple
 
 from .labels import LABELS, Label, LabelString, Record
 from .poly import Polynomial, u, y
-from .tensor import UNIT, SparseMap, k_blue, k_red, r_red_green, r_same_colour, u_split
+from .tensor import (
+    K_BLUE, K_RED, PARAMETER, R_RED_GREEN, R_SAME_COLOUR, U_SPLIT, UNIT, SparseMap, at,
+)
 
 
 class Edge(NamedTuple):
@@ -46,8 +48,12 @@ class Edge(NamedTuple):
 
 
 class Vertex(NamedTuple):
+    # A vertex is one shared matrix of `tensor` plus its parameter, the
+    # weight that the matrix's PARAMETER entries stand for (None when it has
+    # none).  A zero parameter gets a parameter-free copy of the matrix.
     kind: str  # "crossing", "bounce" or "trivalent"
     matrix: SparseMap
+    parameter: Polynomial | None
     in_edges: tuple[int, ...]
     out_edges: tuple[int, ...]
     position: int  # frontier position of in_edges[0] when the vertex was added
@@ -71,12 +77,6 @@ class ScatteringDiagram(Record):
         return [self.edges[e].parameter for e in self.output_edges]
 
 
-# The parameter-free vertex matrices, shared by every vertex of every
-# diagram and indexed once, so that no transfer builds an index.
-_U_SPLIT = u_split().indexed()
-_K_RED = k_red().indexed()
-
-
 class _Builder:
     """Grows a diagram upward, one vertex at a time, on a frontier of edges."""
 
@@ -92,6 +92,11 @@ class _Builder:
         self.edges.append(Edge(ident, colour, parameter))
         return ident
 
+    def _add_vertex(self, kind, matrix, parameter, in_edges, out_edges, pos) -> None:
+        if parameter is not None and parameter.is_zero:
+            matrix = at(matrix, parameter)
+        self.vertices.append(Vertex(kind, matrix, parameter, in_edges, out_edges, pos))
+
     def add_input(self, colour: str, parameter: Polynomial) -> int:
         e = self._new_edge(colour, parameter)
         self.frontier.append(e)
@@ -105,9 +110,7 @@ class _Builder:
             raise ValueError("only blue strands split")
         green = self._new_edge("G", e_in.parameter)
         red = self._new_edge("R", e_in.parameter)
-        self.vertices.append(
-            Vertex("trivalent", _U_SPLIT, (e_in.ident,), (green, red), pos)
-        )
+        self._add_vertex("trivalent", U_SPLIT, None, (e_in.ident,), (green, red), pos)
         self.frontier[pos : pos + 1] = [green, red]
         return green, red
 
@@ -117,16 +120,15 @@ class _Builder:
         right = self.edges[self.frontier[pos + 1]]
         argument = left.parameter - right.parameter
         if left.colour == right.colour:
-            matrix = r_same_colour(argument)
+            matrix, parameter = R_SAME_COLOUR, -argument
         elif (left.colour, right.colour) == ("R", "G"):
-            matrix = r_red_green(argument)
+            matrix, parameter = R_RED_GREEN, argument
         else:
             raise ValueError(f"unsupported crossing colours {left.colour}{right.colour}")
         new_left = self._new_edge(right.colour, right.parameter)
         new_right = self._new_edge(left.colour, left.parameter)
-        self.vertices.append(
-            Vertex("crossing", matrix, (left.ident, right.ident), (new_left, new_right), pos)
-        )
+        self._add_vertex("crossing", matrix, parameter,
+                         (left.ident, right.ident), (new_left, new_right), pos)
         self.frontier[pos : pos + 2] = [new_left, new_right]
         return new_left, new_right
 
@@ -134,13 +136,13 @@ class _Builder:
         """Wall bounce at frontier position pos; negates the parameter."""
         e_in = self.edges[self.frontier[pos]]
         if e_in.colour == "R":
-            matrix, out_colour = _K_RED, "G"
+            matrix, parameter, out_colour = K_RED, None, "G"
         elif e_in.colour == "B":
-            matrix, out_colour = k_blue(e_in.parameter), "B"
+            matrix, parameter, out_colour = K_BLUE, Polynomial.integer(-2) * e_in.parameter, "B"
         else:
             raise ValueError("only red and blue strands bounce")
         out = self._new_edge(out_colour, -e_in.parameter)
-        self.vertices.append(Vertex("bounce", matrix, (e_in.ident,), (out,), pos))
+        self._add_vertex("bounce", matrix, parameter, (e_in.ident,), (out,), pos)
         self.frontier[pos] = out
         return out
 
@@ -292,7 +294,8 @@ def transfer(diagram: ScatteringDiagram, boundary, reverse: bool = False) -> Col
     boundary -> polynomial.  A frontier state carries (polynomial, number of
     labelings) and exists exactly when some partial labeling reaches it, so
     the counts are exact.  A unit matrix entry (the shared `UNIT`) only
-    relabels the state; any other entry multiplies it."""
+    relabels the state; a `PARAMETER` entry multiplies it by the vertex's
+    parameter, and any other entry by the entry itself."""
     key = tuple(boundary)
     pinned = diagram.n_outputs if reverse else diagram.n_inputs
     if len(key) != pinned:
@@ -307,12 +310,12 @@ def transfer(diagram: ScatteringDiagram, boundary, reverse: bool = False) -> Col
             index, arity = v.matrix.by_output(), len(v.out_edges)
         else:
             index, arity = v.matrix.by_input(), len(v.in_edges)
-        pos, end = v.position, v.position + arity
+        pos, end, parameter = v.position, v.position + arity, v.parameter
         new_states: dict[tuple[Label, ...], tuple[Polynomial, int]] = {}
         for state, (coeff, count) in states.items():
             for labels, weight in index.get(state[pos:end], ()):
                 new_state = state[:pos] + labels + state[end:]
-                w = coeff if weight is UNIT else coeff * weight
+                w = coeff if weight is UNIT else coeff * (parameter if weight is PARAMETER else weight)
                 if new_state in new_states:
                     old, old_count = new_states[new_state]
                     new_states[new_state] = (old + w, old_count + count)
@@ -344,7 +347,8 @@ class Labeling(NamedTuple):
         for v in self.diagram.vertices:
             out = tuple(self.edge_labels[e] for e in v.out_edges)
             inn = tuple(self.edge_labels[e] for e in v.in_edges)
-            weights.append(v.matrix.entry(out, inn))
+            weight = v.matrix.entry(out, inn)
+            weights.append(v.parameter if weight is PARAMETER else weight)
         return weights
 
     def red_bounce_counts(self) -> tuple[int, int]:
@@ -426,7 +430,7 @@ def enumerate_labelings(
                 continue
             for e, lab in zip(v.out_edges, out):
                 assignment[e] = lab
-            run_vertices(idx + 1, fug * weight)
+            run_vertices(idx + 1, fug * (v.parameter if weight is PARAMETER else weight))
             for e in v.out_edges:
                 del assignment[e]
 

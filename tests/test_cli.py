@@ -1,11 +1,14 @@
 import argparse
+import hashlib
 import json
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import schubpuzzles
-from schubpuzzles import cli
+from schubpuzzles import cli, schubert
 from schubpuzzles.cli import main
 from schubpuzzles.poly import Polynomial, y
 
@@ -22,6 +25,23 @@ def test_restrict_text(capsys):
     )
     assert code == 0
     assert out.splitlines() == ["210 : y2 - y3", "211 : 1", "120 : 1"]
+
+
+@pytest.mark.slow
+def test_restrict_rank_7_output_digests(capsys):
+    # the whole n = 7 column (about 18,600 terms), as text and as JSON
+    argv = ["restrict", "--lambda", "10101010101010", "--k", "7", "--n", "7"]
+    digests = {
+        "text": "cc5e929bcd53be9d76e317c27ccc1b74a1f449ae035f316d84a868cb4c207cbe",
+        "json": "3da96c3126b1bf8c7b1a4a226281ae28aec61092702d0c45111805c44eb454aa",
+    }
+    try:
+        for fmt, digest in digests.items():
+            code, out, err = run(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+    finally:
+        schubert._half.cache_clear()  # the rank-7 diagram holds its columns
 
 
 def test_restrict_verbose_labels(capsys):

@@ -13,8 +13,8 @@ from schubpuzzles.diagram import (
 )
 from schubpuzzles.labels import Label, LabelString, SpGr, strings_with_content
 from schubpuzzles.poly import Polynomial, y
-from schubpuzzles.tensor import UNIT, SparseMap, k_blue, r_same_colour
-from test_tensor import compose, identity_map, tensor_product
+from schubpuzzles.tensor import UNIT, SparseMap
+from test_tensor import compose, identity_map, reference_k_blue, reference_r_same_colour, tensor_product
 
 parse = LabelString.parse
 
@@ -55,10 +55,10 @@ def test_wiring_worked_example():
     d = build_wiring_diagram((2, 3, 1), "C", 3)
     ident = identity_map(1)
     expected = compose(
-        tensor_product(ident, r_same_colour(y(3) - y(2))),
+        tensor_product(ident, reference_r_same_colour(y(3) - y(2))),
         compose(
-            tensor_product(ident, ident, k_blue(-y(2))),
-            tensor_product(r_same_colour(y(3) - y(1)), ident),
+            tensor_product(ident, ident, reference_k_blue(-y(2))),
+            tensor_product(reference_r_same_colour(y(3) - y(1)), ident),
         ),
     )
     assert as_sparse_map(d) == expected
@@ -209,6 +209,8 @@ def _oracle(diagram):
     """Fugacity sums and labeling counts per (out, in) boundary pair."""
     sums, counts = {}, {}
     for lab in enumerate_labelings(diagram):
+        # a labeling through a zero vertex weight is no labeling
+        assert not lab.fugacity.is_zero, lab.dump()
         out, inn = lab.boundary()
         key = (out.labels, inn.labels)
         sums[key] = sums.get(key, Polynomial.zero()) + lab.fugacity
@@ -218,7 +220,15 @@ def _oracle(diagram):
 
 @pytest.mark.parametrize(
     "diagram",
-    [build_half_diagram(n) for n in (1, 2, 3)] + [build_triangle_diagram(n) for n in (1, 2, 3, 4)],
+    [build_half_diagram(n) for n in (1, 2, 3)]
+    + [build_triangle_diagram(n) for n in (1, 2, 3, 4)]
+    + [
+        build_wiring_diagram((2, 1, 2), "A", 3),
+        build_wiring_diagram((3, 2, 3, 1, 2, 3), "C", 3),
+        # repeated weights: a zero crossing parameter, and a zero bounce parameter
+        build_wiring_diagram((1, 2, 1), "A", 3, (y(1), y(1), y(2))),
+        build_wiring_diagram((2, 1, 2), "C", 2, (y(1), Polynomial.zero())),
+    ],
     ids=lambda d: d.name,
 )
 def test_kernel_both_directions_match_enumeration(diagram):

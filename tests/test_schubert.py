@@ -276,6 +276,31 @@ def test_crosscheck_restriction_rank_5():
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds the 60s budget"
 
 
+def _in_simple_roots(n: int):
+    """Every coefficient of every restriction to SpGr(k, n), k = 0..n, in the
+    type C simple roots b_i = y_i - y_{i+1} (i < n) and b_n = y_n, that is
+    with y_i -> b_i + ... + b_n."""
+    b = [Polynomial.variable(f"b{i}") for i in range(1, n + 1)]
+    images = {f"y{i}": sum(b[i - 1:], Polynomial.zero()) for i in range(1, n + 1)}
+    for k in range(n + 1):
+        for lam in Gr(k, 2 * n).strings():
+            for coeff in restrict_to_spgr(lam, k, n).terms.values():
+                yield coeff.substitute(images)
+
+
+@pytest.mark.parametrize("n, coefficients", [
+    (1, 3), (2, 12), (3, 63), (4, 412), pytest.param(5, 3124, marks=pytest.mark.slow),
+])
+def test_restriction_coefficients_are_positive_in_simple_roots(n, coefficients):
+    # the half-puzzle rule is positive: every coefficient is a sum of
+    # products of positive roots, and every positive root is a nonnegative
+    # combination of the simple roots
+    polynomials = list(_in_simple_roots(n))
+    negative = [str(p) for p in polynomials if any(c < 0 for c in p.terms().values())]
+    assert len(polynomials) == coefficients
+    assert negative == []
+
+
 def test_crosscheck_product_small():
     assert crosscheck_product(1, 1, 2).passed
     r = crosscheck_product(1, 2, 3)

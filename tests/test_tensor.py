@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from schubpuzzles import diagram, tensor, weyl
+from schubpuzzles import diagram, weyl
 from schubpuzzles.diagram import (
     IDENTITY_NAMES,
     _identity_sides,
@@ -16,21 +16,24 @@ from schubpuzzles.diagram import (
 from schubpuzzles.labels import Fl, Gr, Label, SpGr
 from schubpuzzles.poly import Polynomial, u, y
 from schubpuzzles.tensor import (
+    K_BLUE,
+    K_RED,
     LABELS,
+    PARAMETER,
+    R_RED_GREEN,
+    R_SAME_COLOUR,
+    U_SPLIT,
     UNIT,
     SparseMap,
-    k_blue,
-    k_red,
-    r_red_green,
-    r_same_colour,
-    u_split,
+    at,
 )
 
 Z, T, O = Label.ZERO, Label.TEN, Label.ONE
 
 
-# -- the matrix algebra: the reference that diagram contraction is tested
-# against, by the vertex-convention tests here and the worked wiring example
+# -- the matrix algebra and the entrywise vertex matrices: the reference that
+# diagram contraction is tested against, by the vertex-convention tests here
+# and the worked wiring example
 
 def identity_map(arity: int) -> SparseMap:
     entries = {(word, word): 1 for word in itertools.product(LABELS, repeat=arity)}
@@ -63,6 +66,32 @@ def tensor_product(*maps: SparseMap) -> SparseMap:
     return f
 
 
+def reference_r_same_colour(argument: Polynomial) -> SparseMap:
+    entries: dict = {}
+    for k, l in itertools.product(LABELS, repeat=2):
+        entries[((k, l), (k, l))] = UNIT
+    weight = -argument
+    for out, inn in (((O, Z), (Z, O)), ((T, Z), (Z, T)), ((O, T), (T, O))):
+        entries[(out, inn)] = weight
+    return SparseMap(2, 2, entries)
+
+
+def reference_r_red_green(argument: Polynomial) -> SparseMap:
+    entries: dict = {((Z, O), (O, Z)): argument}
+    for i, j, k, l in (
+        (Z, Z, Z, Z), (O, O, O, O), (Z, Z, O, T), (Z, T, O, O), (Z, T, T, Z),
+        (O, Z, Z, O), (O, O, T, Z), (T, O, Z, Z), (T, O, O, T),
+    ):
+        entries[((i, j), (k, l))] = UNIT
+    return SparseMap(2, 2, entries)
+
+
+def reference_k_blue(a: Polynomial) -> SparseMap:
+    entries: dict = {((x,), (x,)): UNIT for x in LABELS}
+    entries[((O,), (Z,))] = Polynomial.integer(-2) * a
+    return SparseMap(1, 1, entries)
+
+
 def random_sparse_map(rng: random.Random, out_arity: int, in_arity: int, density: float = 0.3) -> SparseMap:
     """A random small map, for composition-law tests."""
     entries = {}
@@ -77,7 +106,7 @@ def random_sparse_map(rng: random.Random, out_arity: int, in_arity: int, density
 
 def test_r_red_green_entries():
     a, b = y(1), y(2)
-    m = r_red_green(a - b)
+    m = at(R_RED_GREEN, a - b)
     assert m.entry((Z, O), (O, Z)) == a - b
     assert m.entry((Z, Z), (Z, Z)) == 1
     assert m.entry((T, O), (O, T)) == 1
@@ -89,7 +118,7 @@ def test_r_red_green_entries():
 
 def test_r_same_colour_entries():
     a, b = y(1), y(2)
-    m = r_same_colour(a - b)
+    m = at(R_SAME_COLOUR, b - a)
     assert m.entry((O, Z), (Z, O)) == b - a
     assert m.entry((T, Z), (Z, T)) == b - a
     assert m.entry((O, T), (T, O)) == b - a
@@ -100,29 +129,36 @@ def test_r_same_colour_entries():
 
 
 def test_r_same_colour_at_zero_is_diagonal():
-    m = r_same_colour(Polynomial.zero())
+    m = at(R_SAME_COLOUR, Polynomial.zero())
     assert set(m.entries) == {(pair, pair) for pair in itertools.product(LABELS, repeat=2)}
 
 
 def test_k_matrices():
     a = u(1)
-    kb = k_blue(a)
+    kb = at(K_BLUE, Polynomial.integer(-2) * a)
     assert kb.entry((O,), (Z,)) == Polynomial.integer(-2) * a
     assert kb.entry((T,), (T,)) == 1
     assert kb.entry((Z,), (O,)) == 0
-    kr = k_red()
-    assert kr.entry((O,), (Z,)) == 1
-    assert kr.entry((Z,), (O,)) == 1
+    kr = K_RED
+    assert kr.entry((O,), (Z,)) is UNIT
+    assert kr.entry((Z,), (O,)) is UNIT
     assert kr.entry((O,), (O,)) == 0
     assert len(kr.entries) == 2
 
 
 def test_u_matrix():
-    m = u_split()
-    assert m.entry((Z, T), (O,)) == 1
-    assert m.entry((T, O), (Z,)) == 1
+    m = U_SPLIT
+    assert m.entry((Z, T), (O,)) is UNIT
+    assert m.entry((T, O), (Z,)) is UNIT
     assert m.entry((Z, Z), (O,)) == 0
     assert len(m.entries) == 5
+
+
+def test_sparse_map_checks_arity_before_dropping_zeros():
+    with pytest.raises(ValueError, match="entry arity mismatch"):
+        SparseMap(1, 1, {((Z, Z), (Z,)): 0})
+    with pytest.raises(ValueError, match="entry arity mismatch"):
+        SparseMap(1, 1, {((Z,), ()): Polynomial.zero()})
 
 
 def _pair_index(pair):
@@ -131,11 +167,9 @@ def _pair_index(pair):
 
 def test_lower_triangular():
     # in lex basis order on pairs, R same-colour and K_B are lower-triangular
-    m = r_same_colour(u(1) - u(2))
-    for (out, inn) in m.entries:
+    for (out, inn) in R_SAME_COLOUR.entries:
         assert _pair_index(out) >= _pair_index(inn)
-    kb = k_blue(u(1))
-    for (out, inn) in kb.entries:
+    for (out, inn) in K_BLUE.entries:
         assert int(out[0]) >= int(inn[0])
 
 
@@ -153,12 +187,12 @@ def test_identities_detect_perturbed_split_matrix(monkeypatch):
     # a stray unit entry at (green,red|blue) = (1,1,0) slips through the
     # fusion identity (both sides grow the same term) but breaks the
     # trivalent swap; one at (0,0|1) breaks fusion directly
-    perturbed = SparseMap(2, 1, {**u_split().entries, ((O, O), (Z,)): Polynomial.integer(1)})
-    monkeypatch.setattr(diagram, "_U_SPLIT", perturbed)
+    perturbed = SparseMap(2, 1, {**U_SPLIT.entries, ((O, O), (Z,)): Polynomial.integer(1)})
+    monkeypatch.setattr(diagram, "U_SPLIT", perturbed)
     assert verify_identity("k-fusion")
     assert not verify_identity("trivalent-swap")
-    perturbed = SparseMap(2, 1, {**u_split().entries, ((Z, Z), (O,)): Polynomial.integer(1)})
-    monkeypatch.setattr(diagram, "_U_SPLIT", perturbed)
+    perturbed = SparseMap(2, 1, {**U_SPLIT.entries, ((Z, Z), (O,)): Polynomial.integer(1)})
+    monkeypatch.setattr(diagram, "U_SPLIT", perturbed)
     assert not verify_identity("k-fusion")
 
 
@@ -182,31 +216,31 @@ def _left_sides():
     Between them they use both crossing families, K_R, K_B and U."""
     u1, u2, u3 = u(1), u(2), u(3)
     ident = identity_map(1)
-    split = u_split()
+    split = U_SPLIT
     return {
         "yb-rrg": _bottom_to_top(
-            tensor_product(r_same_colour(u3 - u2), ident),
-            tensor_product(ident, r_red_green(u3 - u1)),
-            tensor_product(r_red_green(u2 - u1), ident),
+            tensor_product(reference_r_same_colour(u3 - u2), ident),
+            tensor_product(ident, reference_r_red_green(u3 - u1)),
+            tensor_product(reference_r_red_green(u2 - u1), ident),
         ),
         "trivalent-swap": _bottom_to_top(
-            r_same_colour(u2 - u1),
+            reference_r_same_colour(u2 - u1),
             tensor_product(split, split),
-            tensor_product(ident, r_red_green(u1 - u2), ident),
+            tensor_product(ident, reference_r_red_green(u1 - u2), ident),
         ),
         "reflection-rg": _bottom_to_top(
-            r_same_colour(u2 - u1),
-            tensor_product(ident, k_red()),
-            r_red_green(-u2 - u1),
-            tensor_product(ident, k_red()),
+            reference_r_same_colour(u2 - u1),
+            tensor_product(ident, K_RED),
+            reference_r_red_green(-u2 - u1),
+            tensor_product(ident, K_RED),
         ),
         "reflection-bb": _bottom_to_top(
-            r_same_colour(u2 - u1),
-            tensor_product(ident, k_blue(-u1)),
-            r_same_colour(-u2 - u1),
-            tensor_product(ident, k_blue(-u2)),
+            reference_r_same_colour(u2 - u1),
+            tensor_product(ident, reference_k_blue(-u1)),
+            reference_r_same_colour(-u2 - u1),
+            tensor_product(ident, reference_k_blue(-u2)),
         ),
-        "k-fusion": _bottom_to_top(k_blue(-u1), split, tensor_product(ident, k_red())),
+        "k-fusion": _bottom_to_top(reference_k_blue(-u1), split, tensor_product(ident, K_RED)),
     }
 
 
@@ -231,12 +265,12 @@ def test_compose_associative_and_identity():
 
 def test_compose_arity_mismatch():
     with pytest.raises(ValueError):
-        compose(u_split(), u_split())
+        compose(U_SPLIT, U_SPLIT)
 
 
 def test_tensor_product_entries():
-    f = k_red()
-    g = k_blue(y(2))
+    f = K_RED
+    g = reference_k_blue(y(2))
     t = tensor_product(f, g)
     assert t.out_arity == 2 and t.in_arity == 2
     assert t.entry((O, O), (Z, Z)) == Polynomial.integer(-2) * y(2)
@@ -246,36 +280,11 @@ def test_three_factor_tensor_product():
     rng = random.Random(11)
     a = random_sparse_map(rng, 1, 2)
     b = random_sparse_map(rng, 2, 1)
-    c = r_same_colour(u(1) - u(2))
+    c = reference_r_same_colour(u(1) - u(2))
     t = tensor_product(a, b, c)
     assert (t.out_arity, t.in_arity) == (5, 5)
     assert t == tensor_product(tensor_product(a, b), c)
     assert t == tensor_product(a, tensor_product(b, c))
-
-
-# -- the entrywise constructors: the reference for the spliced families ----
-
-def reference_r_same_colour(argument: Polynomial) -> SparseMap:
-    entries: dict = {}
-    for k, l in itertools.product(LABELS, repeat=2):
-        entries[((k, l), (k, l))] = UNIT
-    weight = -argument
-    for out, inn in (((O, Z), (Z, O)), ((T, Z), (Z, T)), ((O, T), (T, O))):
-        entries[(out, inn)] = weight
-    return SparseMap(2, 2, entries)
-
-
-def reference_r_red_green(argument: Polynomial) -> SparseMap:
-    entries: dict = {((Z, O), (O, Z)): argument}
-    for i, j, k, l in tensor._RG_UNIT:
-        entries[((i, j), (k, l))] = UNIT
-    return SparseMap(2, 2, entries)
-
-
-def reference_k_blue(a: Polynomial) -> SparseMap:
-    entries: dict = {((x,), (x,)): UNIT for x in LABELS}
-    entries[((O,), (Z,))] = Polynomial.integer(-2) * a
-    return SparseMap(1, 1, entries)
 
 
 def _units(m: SparseMap):
@@ -287,15 +296,17 @@ def _units(m: SparseMap):
     )
 
 
-@pytest.mark.parametrize("build, reference", [
-    (r_same_colour, reference_r_same_colour),
-    (r_red_green, reference_r_red_green),
-    (k_blue, reference_k_blue),
+@pytest.mark.parametrize("matrix, parameter, reference", [
+    (R_SAME_COLOUR, lambda argument: -argument, reference_r_same_colour),
+    (R_RED_GREEN, lambda argument: argument, reference_r_red_green),
+    (K_BLUE, lambda a: Polynomial.integer(-2) * a, reference_k_blue),
 ], ids=["r_same_colour", "r_red_green", "k_blue"])
-def test_spliced_matrices_equal_entrywise_construction(build, reference):
+def test_matrices_at_a_weight_equal_entrywise_construction(matrix, parameter, reference):
+    # the vertex parameter the builder derives from an argument, written into
+    # the shared matrix, gives the entrywise matrix and both of its indexes
     arguments = (y(1) - y(2), -y(3) - y(1), u(1), Polynomial.integer(3), UNIT, Polynomial.zero())
     for argument in arguments:
-        got, want = build(argument), reference(argument)
+        got, want = at(matrix, parameter(argument)), reference(argument)
         assert (got.out_arity, got.in_arity) == (want.out_arity, want.in_arity)
         assert list(got.entries.items()) == list(want.entries.items()), argument
         assert list(got.by_input().items()) == list(want.by_input().items()), argument
@@ -303,15 +314,27 @@ def test_spliced_matrices_equal_entrywise_construction(build, reference):
         assert _units(got) == _units(want), argument
 
 
-def _skeletons():
-    families = (tensor._R_SAME_COLOUR, tensor._R_RED_GREEN, tensor._K_BLUE)
-    return [(m.entries, m._by_input, m._by_output) for f in families for m in (f.full, f.unit)]
+_CONSTANTS = (R_SAME_COLOUR, R_RED_GREEN, K_BLUE, K_RED, U_SPLIT)
+
+
+def _constant_state():
+    return [(m.entries, m._by_input, m._by_output) for m in _CONSTANTS]
 
 
 def test_diagrams_build_and_transfer_without_regrouping(monkeypatch):
-    # the vertex matrices of wiring and half diagrams come indexed, and the
-    # index lists they share with their family's skeleton stay unchanged
-    before = copy.deepcopy(_skeletons())
+    # every vertex with a nonzero parameter holds one of the five shared,
+    # indexed matrices, so wiring and half diagrams build and transfer
+    # without grouping an index, and no transfer changes a shared matrix
+    assert all(w is UNIT or w is PARAMETER for m in _CONSTANTS for w in m.entries.values())
+    before = copy.deepcopy(_constant_state())
+    built = []
+    real_build = diagram.build_wiring_diagram
+
+    def recording_build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(diagram, "build_wiring_diagram", recording_build)
     calls = []
     real_grouped = SparseMap._grouped
 
@@ -328,9 +351,12 @@ def test_diagrams_build_and_transfer_without_regrouping(monkeypatch):
     for lam in Gr(3, 6).strings():
         assert transfer(half, lam.labels, reverse=True)
     assert transfer(half, (Z, O, T))
-    zero = r_same_colour(Polynomial.zero())
-    zero.by_input(), zero.by_output()
     assert calls == []
     SparseMap(1, 1, {((Z,), (Z,)): 1}).by_input()  # the counter does see a regrouping
     assert calls == [False]
-    assert _skeletons() == before
+    assert built
+    for d in built + [half]:
+        for v in d.vertices:
+            if v.parameter is None or not v.parameter.is_zero:
+                assert any(v.matrix is m for m in _CONSTANTS), (d.name, v.kind, v.position)
+    assert _constant_state() == before
