@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .labels import LABELS, Label, LabelString, Record
+from .labels import LABELS, Label, Record
 from .poly import Polynomial, u, y
 from .tensor import (
     K_BLUE, K_RED, PARAMETER, R_RED_GREEN, R_SAME_COLOUR, U_SPLIT, UNIT, SparseMap, at,
@@ -64,6 +64,10 @@ class ScatteringDiagram(Record):
     # inputs of each vertex exist before it); input_edges, output_edges:
     # tuples of edge idents; _transfer_cache: (reverse, boundary) -> Column
     __slots__ = ("name", "edges", "vertices", "input_edges", "output_edges", "_transfer_cache")
+
+    # equal to itself only: the transfer cache is a field that fills with use
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def n_inputs(self) -> int:
@@ -236,13 +240,17 @@ def build_wiring_diagram(word, group_type: str, m: int, weights=None) -> Scatter
     their place; letters are placed top to bottom in word order and the
     diagram composes bottom to top.  Letter i < m (any i in type A) crosses
     strands i, i+1; in type C the letter m is a blue bounce on the last
-    strand, negating its parameter."""
+    strand, negating its parameter.  The name lists the weights when they
+    are given."""
     if m < 1:
         raise ValueError("need at least one strand")
+    suffix = ""
     if weights is None:
         weights = tuple(y(i) for i in range(1, m + 1))
     elif len(weights) != m:
         raise ValueError(f"need {m} strand weights, got {len(weights)}")
+    else:
+        suffix = ";" + ",".join(map(str, weights))
     word = tuple(word)
     for q in word:
         if group_type == "A" and not 1 <= q <= m - 1:
@@ -258,7 +266,7 @@ def build_wiring_diagram(word, group_type: str, m: int, weights=None) -> Scatter
             params[q - 1], params[q] = params[q], params[q - 1]
 
     colour = "G" if group_type == "A" else "B"
-    b = _Builder(f"wiring({group_type},{m},{'.'.join(map(str, word))})")
+    b = _Builder(f"wiring({group_type},{m},{'.'.join(map(str, word))}{suffix})")
     for p in params:
         b.add_input(colour, p)
     for q in reversed(word):  # bottom to top
@@ -336,33 +344,6 @@ class Labeling(NamedTuple):
     diagram: ScatteringDiagram
     edge_labels: tuple[Label, ...]
     fugacity: Polynomial
-
-    def boundary(self) -> tuple[LabelString, LabelString]:
-        out = LabelString(self.edge_labels[e] for e in self.diagram.output_edges)
-        inn = LabelString(self.edge_labels[e] for e in self.diagram.input_edges)
-        return out, inn
-
-    def vertex_weights(self) -> list[Polynomial]:
-        weights = []
-        for v in self.diagram.vertices:
-            out = tuple(self.edge_labels[e] for e in v.out_edges)
-            inn = tuple(self.edge_labels[e] for e in v.in_edges)
-            weight = v.matrix.entry(out, inn)
-            weights.append(v.parameter if weight is PARAMETER else weight)
-        return weights
-
-    def red_bounce_counts(self) -> tuple[int, int]:
-        """(#bounces labeled 0<-1, #bounces labeled 1<-0) at the east wall."""
-        n01 = n10 = 0
-        for v in self.diagram.vertices:
-            if v.kind != "bounce" or self.diagram.edges[v.in_edges[0]].colour != "R":
-                continue
-            pair = (self.edge_labels[v.out_edges[0]], self.edge_labels[v.in_edges[0]])
-            if pair == (Label.ZERO, Label.ONE):
-                n01 += 1
-            elif pair == (Label.ONE, Label.ZERO):
-                n10 += 1
-        return n01, n10
 
     def dump(self, verbose: bool = False) -> str:
         lines = []

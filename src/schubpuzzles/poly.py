@@ -24,10 +24,6 @@ import re
 from operator import itemgetter
 from typing import Iterable, Mapping, Union
 
-# The public monomial form: ((variable, exponent), ...) sorted by variable,
-# all exponents positive.  The empty tuple is the constant monomial.
-Monomial = tuple[tuple[str, int], ...]
-
 _VAR_RE = re.compile(r"^([A-Za-z]+)([0-9]+)$")
 _VAR_KEY_CACHE: dict[str, tuple[str, int]] = {}
 
@@ -93,12 +89,6 @@ class Polynomial:
     # _deg is an upper bound on the total degree, at most _MASK
     __slots__ = ("_terms", "_hash", "_deg")
 
-    def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        # public constructor from the terms() form; the package itself builds
-        # through _raw, monomial and from_machine
-        built = Polynomial.from_machine((c, dict(mono)) for mono, c in (terms or {}).items())
-        self._terms, self._hash, self._deg = built._terms, None, built._deg
-
     @classmethod
     def _raw(cls, packed: dict[int, int], bound: int) -> "Polynomial":
         """Internal: adopt an already-clean packed term dict whose total
@@ -123,28 +113,11 @@ class Polynomial:
     def variable(cls, name: str) -> "Polynomial":
         return cls._raw({1 << (_SHIFT * _var_slot(name)): 1}, 1)
 
-    @classmethod
-    def monomial(cls, coeff: int, powers: Mapping[str, int]) -> "Polynomial":
-        if not coeff:
-            return cls.zero()
-        packed, degree = _pack(powers)
-        return cls._raw({packed: coeff}, degree)
-
     # -- inspection ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    def terms(self) -> dict[Monomial, int]:
-        order = _slot_order(self._terms)
-        return {
-            tuple((v, e) for shift, v in order if (e := (m >> shift) & _MASK)): c
-            for m, c in self._terms.items()
-        }
-
-    def variables(self) -> list[str]:
-        return [v for _, v in _slot_order(self._terms)]
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""
@@ -364,42 +337,6 @@ class Polynomial:
         # packed monomials index this process's variable registration order,
         # so pickles carry variable names instead
         return Polynomial.from_machine, (self.machine(),)
-
-    # -- exact division ---------------------------------------------------
-
-    def divide_exact(self, divisor: "Polynomial") -> "Polynomial | None":
-        """Return self / divisor when the division is exact over Z, else None."""
-        if divisor.is_zero:
-            raise ZeroDivisionError("division by the zero polynomial")
-
-        def lead(terms: dict[int, int]) -> tuple[int, int]:
-            mono = max(terms, key=lambda m: (_mono_degree(m), m))
-            return mono, terms[mono]
-
-        d_mono, d_coeff = lead(divisor._terms)
-        remainder = dict(self._terms)
-        quotient: dict[int, int] = {}
-        while remainder:
-            r_mono, r_coeff = lead(remainder)
-            q_mono = r_mono - d_mono
-            if q_mono < 0 or any(
-                (r_mono >> (_SHIFT * s)) & _MASK < (d_mono >> (_SHIFT * s)) & _MASK
-                for s in range(len(_VAR_NAMES))
-            ):
-                return None
-            if r_coeff % d_coeff != 0:
-                return None
-            q_coeff = r_coeff // d_coeff
-            quotient[q_mono] = quotient.get(q_mono, 0) + q_coeff
-            piece = Polynomial._raw({q_mono: q_coeff}, _mono_degree(q_mono)) * divisor
-            for mono, coeff in piece._terms.items():
-                new = remainder.get(mono, 0) - coeff
-                if new:
-                    remainder[mono] = new
-                else:
-                    remainder.pop(mono, None)
-        # the quotient's degree is at most the dividend's
-        return Polynomial._raw(quotient, self._deg)
 
 
 def y(i: int) -> Polynomial:

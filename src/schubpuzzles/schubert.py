@@ -1,17 +1,24 @@
 """The user-facing operations: two-step puzzle products, restriction of
-Grassmannian Schubert classes to the symplectic Grassmannian, duality
-symmetry, and the end-to-end fixed-point crosschecks that tie the puzzle
-coefficients to the reduced-subword oracle.
+Grassmannian Schubert classes to the symplectic Grassmannian, the
+nonequivariant duality sweep, and the end-to-end fixed-point crosschecks
+that tie the puzzle coefficients to the two restriction backends of `weyl`.
+
+Each expansion is read off one reverse contraction of a cached diagram.
+Its positivity is structural and needs no factoring here: every vertex
+parameter of a triangle or half diagram is a positive root, so every
+puzzle's fugacity is a product of positive roots.  The three sweeps count
+checked and failed cases through one `_sweep`, which describes the first
+failure only.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .diagram import build_half_diagram, build_triangle_diagram, enumerate_labelings, transfer
+from .diagram import build_half_diagram, build_triangle_diagram, transfer
 from .labels import Fl, Gr, LabelString, Record, SpGr, project_flag_string
 from .poly import Polynomial, y
-from .weyl import positive_roots, restrictions_at
+from .weyl import restrictions_at
 
 
 class ExpansionResult(Record):
@@ -136,41 +143,26 @@ def restrict_to_spgr(lam: LabelString, k: int, n: int) -> ExpansionResult:
     return _expansion(target, transfer(_half(n), lam.labels, reverse=True))
 
 
-def half_puzzles(lam: LabelString, nu: LabelString, n: int):
-    """The half-puzzles with the given boundary, with fugacities."""
-    return enumerate_labelings(_half(n), out_labels=lam, in_labels=nu)
-
-
-def factor_into_positive_roots(p: Polynomial, group_type: str, rank: int):
-    """Write p as (positive integer) * product of type-A/C positive roots,
-    by trial division against the finite root list.  Returns
-    (constant, factors) or None if p does not factor that way."""
-    if p.is_zero:
-        return None
-    remaining = p
-    factors: list[Polynomial] = []
-    roots = positive_roots(group_type, rank)
-    progress = True
-    while remaining.degree() > 0 and progress:
-        progress = False
-        for root in roots:
-            quotient = remaining.divide_exact(root)
-            if quotient is not None:
-                factors.append(root)
-                remaining = quotient
-                progress = True
-                break
-    constant = remaining.constant_value()
-    if constant is None or constant <= 0:
-        return None
-    return constant, factors
-
-
 def specialize_to_half_torus(p: Polynomial, n: int) -> Polynomial:
     """Restrict the 2n ambient torus weights to the n symplectic ones:
     y_{n+i} -> -y_{n+1-i}."""
     images = {f"y{n + i}": -y(n + 1 - i) for i in range(1, n + 1)}
     return p.substitute(images)
+
+
+def _sweep(description: str, cases, failure) -> Report:
+    """Check every case (lhs, rhs, *where) of an exhaustive sweep for
+    lhs == rhs; only the first failing case is described, by
+    failure(lhs, rhs, *where)."""
+    checked = failed = 0
+    first = None
+    for lhs, rhs, *where in cases:
+        checked += 1
+        if lhs != rhs:
+            failed += 1
+            if first is None:
+                first = failure(lhs, rhs, *where)
+    return Report(description, checked, failed, first)
 
 
 def duality_check(k: int, m: int) -> Report:
@@ -181,25 +173,21 @@ def duality_check(k: int, m: int) -> Report:
     space = Gr(k, m)
     if m < 1:
         raise ValueError(f"duality on {space} needs m >= 1, got m={m}")
-    checked = failed = 0
-    first = None
     strings = space.strings()
-    for lam in strings:
-        for mu in strings:
-            counts = two_step_product(lam, mu, m).nonequivariant()
-            dual_counts = two_step_product(mu.dualize(), lam.dualize(), m).nonequivariant()
-            for nu in strings:
-                lhs = counts.get(nu, 0)
-                rhs = dual_counts.get(nu.dualize(), 0)
-                checked += 1
-                if lhs != rhs:
-                    failed += 1
-                    if first is None:
-                        first = (
-                            f"c({lam.compact()},{mu.compact()};{nu.compact()})={lhs} "
-                            f"but dual gives {rhs}"
-                        )
-    return Report(f"duality on {space}", checked, failed, first)
+
+    def cases():
+        for lam in strings:
+            for mu in strings:
+                counts = two_step_product(lam, mu, m).nonequivariant()
+                dual_counts = two_step_product(mu.dualize(), lam.dualize(), m).nonequivariant()
+                for nu in strings:
+                    yield counts.get(nu, 0), dual_counts.get(nu.dualize(), 0), lam, mu, nu
+
+    return _sweep(
+        f"duality on {space}", cases(),
+        lambda lhs, rhs, lam, mu, nu:
+            f"c({lam.compact()},{mu.compact()};{nu.compact()})={lhs} but dual gives {rhs}",
+    )
 
 
 def _pairing(expansion: dict, column: dict) -> Polynomial:
@@ -233,22 +221,19 @@ def crosscheck_restriction(k: int, n: int) -> Report:
         for sigma in target.strings()
     ]
     zero = Polynomial.zero()
-    checked = failed = 0
-    first = None
-    for lam in ambient.strings():
-        expansion = restrict_to_spgr(lam, k, n).terms
-        for sigma, ambient_column, target_column in columns:
-            lhs = ambient_column.get(lam.labels, zero)
-            rhs = _pairing(expansion, target_column)
-            checked += 1
-            if lhs != rhs:
-                failed += 1
-                if first is None:
-                    first = (
-                        f"lambda={lam.compact()} sigma={sigma.compact()}: "
-                        f"ambient {lhs} vs expansion {rhs}"
-                    )
-    return Report(f"restriction crosscheck {ambient} -> {target}", checked, failed, first)
+
+    def cases():
+        for lam in ambient.strings():
+            expansion = restrict_to_spgr(lam, k, n).terms
+            for sigma, ambient_column, target_column in columns:
+                lhs = ambient_column.get(lam.labels, zero)
+                yield lhs, _pairing(expansion, target_column), lam, sigma
+
+    return _sweep(
+        f"restriction crosscheck {ambient} -> {target}", cases(),
+        lambda lhs, rhs, lam, sigma:
+            f"lambda={lam.compact()} sigma={sigma.compact()}: ambient {lhs} vs expansion {rhs}",
+    )
 
 
 def crosscheck_product(j: int, k: int, n: int) -> Report:
@@ -274,20 +259,18 @@ def crosscheck_product(j: int, k: int, n: int) -> Report:
         for sigma in space.strings()
     ]
     zero = Polynomial.zero()
-    checked = failed = 0
-    first = None
-    for lam in lams:
-        for mu in mus:
-            expansion = two_step_product(lam, mu, n).terms
-            for sigma, column, column_j, column_k in columns:
-                lhs = _pairing(expansion, column)
-                rhs = column_j.get(lam.labels, zero) * column_k.get(mu.labels, zero)
-                checked += 1
-                if lhs != rhs:
-                    failed += 1
-                    if first is None:
-                        first = (
-                            f"lambda={lam.compact()} mu={mu.compact()} "
-                            f"sigma={sigma.compact()}: {lhs} vs {rhs}"
-                        )
-    return Report(f"product crosscheck on {space}", checked, failed, first)
+
+    def cases():
+        for lam in lams:
+            for mu in mus:
+                expansion = two_step_product(lam, mu, n).terms
+                for sigma, column, column_j, column_k in columns:
+                    lhs = _pairing(expansion, column)
+                    rhs = column_j.get(lam.labels, zero) * column_k.get(mu.labels, zero)
+                    yield lhs, rhs, lam, mu, sigma
+
+    return _sweep(
+        f"product crosscheck on {space}", cases(),
+        lambda lhs, rhs, lam, mu, sigma:
+            f"lambda={lam.compact()} mu={mu.compact()} sigma={sigma.compact()}: {lhs} vs {rhs}",
+    )

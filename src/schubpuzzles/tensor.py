@@ -88,9 +88,6 @@ class SparseMap:
         self.by_output()
         return self
 
-    def entry(self, out, inn) -> Polynomial:
-        return self.entries.get((tuple(out), tuple(inn)), Polynomial.zero())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMap):
             return NotImplemented

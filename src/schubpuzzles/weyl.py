@@ -37,14 +37,6 @@ from .labels import Label, LabelString, Space
 from .poly import Polynomial, y
 
 
-def positive_roots(group_type: str, rank: int) -> list[Polynomial]:
-    roots = [y(i) - y(j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
-    if group_type == "C":
-        roots += [y(i) + y(j) for i in range(1, rank + 1) for j in range(i + 1, rank + 1)]
-        roots += [Polynomial.integer(2) * y(i) for i in range(1, rank + 1)]
-    return roots
-
-
 # -- the reduced-subword restriction ---------------------------------------
 
 def _subword_column(word, group_type: str, rank: int, parabolic, weights=None) -> dict:

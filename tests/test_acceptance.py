@@ -26,12 +26,11 @@ from schubpuzzles.schubert import (
     crosscheck_product,
     crosscheck_restriction,
     duality_check,
-    factor_into_positive_roots,
-    half_puzzles,
     restrict_to_spgr,
     two_step_product,
 )
 from schubpuzzles.weyl import reduced_word, restriction, shortest_lift
+from test_tensor import boundary, half_puzzles, positive_roots, vertex_weights, zero_one_bounces
 
 parse = LabelString.parse
 
@@ -104,7 +103,7 @@ def test_criterion_5_oracle_equivalence():
         for diagram in diagrams:
             sums: dict = {}
             for labeling in enumerate_labelings(diagram):
-                out, inn = labeling.boundary()
+                out, inn = boundary(labeling)
                 key = (out.labels, inn.labels)
                 sums[key] = sums.get(key, Polynomial.zero()) + labeling.fugacity
             sums = {k: v for k, v in sums.items() if not v.is_zero}
@@ -203,9 +202,17 @@ def test_criterion_9_delta_and_ten_conservation():
 
 
 def test_criterion_10_positivity_and_centerline():
+    # positivity is structural: every vertex parameter is a positive root, and
+    # a fugacity is the product of the parameters at its PARAMETER entries
     with Stopwatch(60.0) as watch:
+        parameters = 0
+        for n in range(1, 8):
+            found = [v.parameter for v in build_half_diagram(n).vertices if v.parameter is not None]
+            assert set(found) <= positive_roots("C", n) and len(found) == n * (n - 1)
+            parameters += len(found)
         puzzles = 0
         for n in range(1, 5):
+            roots = positive_roots("C", n)
             for k in range(0, n + 1):
                 for lam in Gr(k, 2 * n).strings():
                     expansion = restrict_to_spgr(lam, k, n)
@@ -213,14 +220,12 @@ def test_criterion_10_positivity_and_centerline():
                     for nu in SpGr(k, n).strings():
                         weightless = 0
                         for puzzle in half_puzzles(lam, nu, n):
-                            factored = factor_into_positive_roots(puzzle.fugacity, "C", n)
-                            assert factored is not None and factored[0] == 1, (
-                                lam.compact(),
-                                nu.compact(),
-                                str(puzzle.fugacity),
-                            )
-                            n01, _ = puzzle.red_bounce_counts()
-                            assert n01 == nu.compact().count("1")
+                            product = Polynomial.integer(1)
+                            for w in vertex_weights(puzzle):
+                                assert w == 1 or w in roots
+                                product = product * w
+                            assert product == puzzle.fugacity, (lam.compact(), nu.compact())
+                            assert zero_one_bounces(puzzle) == nu.compact().count("1")
                             if puzzle.fugacity == 1:
                                 weightless += 1
                             puzzles += 1
@@ -228,7 +233,8 @@ def test_criterion_10_positivity_and_centerline():
                         assert value == weightless and value >= 0
     report(
         10,
-        f"{puzzles} half-puzzle fugacities factor into positive roots; "
+        f"{parameters} half-diagram parameters are positive roots, and {puzzles} "
+        "half-puzzle fugacities are products of them; "
         "0<-1 wall-bounce count equals #1(nu) throughout",
         watch,
     )

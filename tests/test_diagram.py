@@ -14,7 +14,15 @@ from schubpuzzles.diagram import (
 from schubpuzzles.labels import Label, LabelString, SpGr, strings_with_content
 from schubpuzzles.poly import Polynomial, y
 from schubpuzzles.tensor import UNIT, SparseMap
-from test_tensor import compose, identity_map, reference_k_blue, reference_r_same_colour, tensor_product
+from test_tensor import (
+    boundary,
+    compose,
+    identity_map,
+    reference_k_blue,
+    reference_r_same_colour,
+    tensor_product,
+    vertex_weights,
+)
 
 parse = LabelString.parse
 
@@ -133,7 +141,7 @@ def test_enumerate_matches_transfer():
     for diagram in (build_triangle_diagram(3), build_half_diagram(2)):
         by_boundary = {}
         for lab in enumerate_labelings(diagram):
-            out, inn = lab.boundary()
+            out, inn = boundary(lab)
             key = (out.labels, inn.labels)
             by_boundary[key] = by_boundary.get(key, Polynomial.zero()) + lab.fugacity
         for inn in itertools.product((Label.ZERO, Label.TEN, Label.ONE), repeat=diagram.n_inputs):
@@ -144,12 +152,17 @@ def test_enumerate_matches_transfer():
 
 
 def test_labeling_fugacity_is_product_of_weights():
-    for lab in enumerate_labelings(build_half_diagram(2)):
-        product = Polynomial.integer(1)
-        for w in lab.vertex_weights():
-            assert not w.is_zero
-            product = product * w
-        assert product == lab.fugacity
+    # every puzzle's fugacity is the product of the parameters at its
+    # PARAMETER entries: every other entry is the shared unit
+    for diagram in [build_half_diagram(n) for n in range(1, 5)] + [
+        build_triangle_diagram(n) for n in range(1, 5)
+    ]:
+        for lab in enumerate_labelings(diagram):
+            product = Polynomial.integer(1)
+            for w in vertex_weights(lab):
+                assert not w.is_zero
+                product = product * w
+            assert product == lab.fugacity
 
 
 def test_half_fugacity_factors():
@@ -161,7 +174,7 @@ def test_half_fugacity_factors():
             allowed.add(str(y(i) - y(j)))
             allowed.add(str(y(i) + y(j)))
     for lab in enumerate_labelings(build_half_diagram(n)):
-        for w in lab.vertex_weights():
+        for w in vertex_weights(lab):
             assert str(w) in allowed
 
 
@@ -172,7 +185,7 @@ def test_triangle_fugacity_factors():
         for j in range(i + 1, n + 1):
             allowed.add(str(y(i) - y(j)))
     for lab in enumerate_labelings(build_triangle_diagram(n), out_labels=parse("01010101")):
-        for w in lab.vertex_weights():
+        for w in vertex_weights(lab):
             assert str(w) in allowed
 
 
@@ -211,7 +224,7 @@ def _oracle(diagram):
     for lab in enumerate_labelings(diagram):
         # a labeling through a zero vertex weight is no labeling
         assert not lab.fugacity.is_zero, lab.dump()
-        out, inn = lab.boundary()
+        out, inn = boundary(lab)
         key = (out.labels, inn.labels)
         sums[key] = sums.get(key, Polynomial.zero()) + lab.fugacity
         counts[key] = counts.get(key, 0) + 1
@@ -247,6 +260,24 @@ def test_kernel_both_directions_match_enumeration(diagram):
                 got_counts[(pinned, free) if reverse else (free, pinned)] = count
         assert got_sums == sums
         assert got_counts == counts
+
+
+def test_diagrams_are_equal_to_themselves_only():
+    # equality and hashing must not read the transfer cache, which fills with use
+    first, second = build_half_diagram(2), build_half_diagram(2)
+    assert first == first and first != second
+    before = {first: 1, second: 2}
+    transfer(first, parse("01"))
+    assert first == first and first != second
+    assert hash(first) == hash(first) and before[first] == 1 and len(before) == 2
+
+
+def test_wiring_names_list_given_weights():
+    default = build_wiring_diagram((1, 2, 1), "A", 3)
+    weighted = build_wiring_diagram((1, 2, 1), "A", 3, (y(1), y(1), y(2)))
+    assert default.name == "wiring(A,3,1.2.1)"
+    assert weighted.name == "wiring(A,3,1.2.1;y1,y1,y2)"
+    assert build_wiring_diagram((2, 1), "C", 2, (y(1) + y(2), -y(1))).name == "wiring(C,2,2.1;y1 + y2,-y1)"
 
 
 def test_vertex_positions_replay_the_frontier():

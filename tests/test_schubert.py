@@ -3,7 +3,7 @@ import time
 import pytest
 
 from schubpuzzles import schubert
-from schubpuzzles.diagram import Column, enumerate_labelings
+from schubpuzzles.diagram import Column, build_triangle_diagram, enumerate_labelings
 from schubpuzzles.labels import Fl, Gr, Label, LabelString, SpGr
 from schubpuzzles.poly import Polynomial, y
 from schubpuzzles.schubert import (
@@ -11,12 +11,11 @@ from schubpuzzles.schubert import (
     crosscheck_product,
     crosscheck_restriction,
     duality_check,
-    factor_into_positive_roots,
-    half_puzzles,
     restrict_to_spgr,
     specialize_to_half_torus,
     two_step_product,
 )
+from test_tensor import boundary, half_puzzles, positive_roots, vertex_weights, zero_one_bounces
 
 parse = LabelString.parse
 
@@ -106,19 +105,25 @@ def test_product_of_unit_classes():
 
 def test_product_equivariant_square():
     # j = k gives the ordinary equivariant Grassmannian product; each
-    # contributing fugacity is a product of differences y_i - y_j, i < j
+    # contributing fugacity is a product of differences y_i - y_j, i < j,
+    # since every triangle parameter is one
+    for n in range(1, 8):
+        found = [v.parameter for v in build_triangle_diagram(n).vertices if v.parameter is not None]
+        assert set(found) <= positive_roots("A", n) and len(found) == n * (n - 1) // 2
     e = two_step_product(parse("0101"), parse("0101"), 4)
     total_puzzles = sum(e.puzzle_counts.values())
     assert total_puzzles == 3
-    from schubpuzzles.diagram import build_triangle_diagram
-
     lam = parse("0101")
     for nu in e.terms:
         for puzzle in enumerate_labelings(
             build_triangle_diagram(4), out_labels=lam + lam, in_labels=nu
         ):
-            factored = factor_into_positive_roots(puzzle.fugacity, "A", 4)
-            assert factored is not None and factored[0] == 1
+            parameters = [w for w in vertex_weights(puzzle) if w != 1]
+            assert set(parameters) <= positive_roots("A", 4)
+            product = Polynomial.integer(1)
+            for w in parameters:
+                product = product * w
+            assert product == puzzle.fugacity
 
 
 def test_product_validation():
@@ -140,10 +145,11 @@ def test_nonequivariant():
 
 
 def test_nonequivariant_matches_substituting_zero():
-    # the oracle sets every torus weight to zero through substitute
+    # the oracle sets every torus weight (y1..y4 for n <= 4) to zero through
+    # substitute; constant_value() is None if any weight is left
     def zeroed(expansion):
         values = {
-            nu: c.substitute({v: 0 for v in c.variables()}).constant_value()
+            nu: c.substitute({f"y{i}": 0 for i in range(1, 5)}).constant_value()
             for nu, c in expansion.terms.items()
         }
         return {nu: value for nu, value in values.items() if value}
@@ -194,8 +200,6 @@ def test_restrict_puzzle_counts_match_half_puzzles():
 
 
 def test_product_puzzle_counts_match_enumeration():
-    from schubpuzzles.diagram import build_triangle_diagram
-
     for n in range(1, 5):
         triangle = build_triangle_diagram(n)
         for j in range(0, n + 1):
@@ -205,7 +209,7 @@ def test_product_puzzle_counts_match_enumeration():
                         e = two_step_product(lam, mu, n)
                         sums, counts = {}, {}
                         for p in enumerate_labelings(triangle, out_labels=lam + mu):
-                            nu = p.boundary()[1]
+                            nu = boundary(p)[1]
                             sums[nu] = sums.get(nu, Polynomial.zero()) + p.fugacity
                             counts[nu] = counts.get(nu, 0) + 1
                         assert e.terms == {nu: c for nu, c in sums.items() if not c.is_zero}
@@ -219,25 +223,14 @@ def test_nonequivariant_rejects_bad_values():
 
 
 def test_restriction_coefficients_factor_into_positive_roots():
+    # the coefficient comes from one half-puzzle, whose one parameter is the
+    # positive root y1 + y2
     e = restrict_to_spgr(parse("1100"), 2, 2)
     assert as_text(e) == {"11": "y1 + y2"}
-    constant, factors = factor_into_positive_roots(e.terms[parse("11")], "C", 2)
-    assert constant == 1
-    assert factors == [y(1) + y(2)]
-
-
-def test_factor_into_positive_roots():
-    p = (y(1) - y(2)) * (y(1) + y(3)) * (Polynomial.integer(2) * y(2))
-    constant, factors = factor_into_positive_roots(p, "C", 3)
-    assert constant == 1
-    product = Polynomial.integer(constant)
-    for f in factors:
-        product = product * f
-    assert product == p
-    assert factor_into_positive_roots(y(1) + y(2), "A", 2) is None
-    assert factor_into_positive_roots(Polynomial.zero(), "C", 2) is None
-    assert factor_into_positive_roots(-y(1) + y(2), "C", 2) is None
-    assert factor_into_positive_roots(Polynomial.integer(3), "C", 2) == (3, [])
+    assert e.puzzle_counts == {parse("11"): 1}
+    (puzzle,) = half_puzzles(parse("1100"), parse("11"), 2)
+    assert [w for w in vertex_weights(puzzle) if w != 1] == [y(1) + y(2)]
+    assert y(1) + y(2) in positive_roots("C", 2)
 
 
 def test_specialize_to_half_torus():
@@ -296,7 +289,7 @@ def test_restriction_coefficients_are_positive_in_simple_roots(n, coefficients):
     # products of positive roots, and every positive root is a nonnegative
     # combination of the simple roots
     polynomials = list(_in_simple_roots(n))
-    negative = [str(p) for p in polynomials if any(c < 0 for c in p.terms().values())]
+    negative = [str(p) for p in polynomials if any(c < 0 for c, _ in p.machine())]
     assert len(polynomials) == coefficients
     assert negative == []
 
@@ -314,6 +307,33 @@ def test_crosscheck_validation():
         crosscheck_restriction(3, 2)
     with pytest.raises(ValueError):
         crosscheck_product(2, 1, 3)
+
+
+def test_sweeps_report_their_first_failure(monkeypatch):
+    # one expansion off by one fails each sweep; the reports were recorded
+    # before the three sweeps shared their bookkeeping
+    def off_by_one(original, bad):
+        def wrapper(lam, *rest):
+            result = original(lam, *rest)
+            if lam == parse(bad):
+                nu = min(result.terms)
+                terms = {**result.terms, nu: result.terms[nu] + 1}
+                result = ExpansionResult(result.space, terms, result.puzzle_counts)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(schubert, "two_step_product", off_by_one(two_step_product, "011"))
+    assert str(duality_check(1, 3)) == (
+        "duality on Gr(1,3): checked 27, failed 3 -> FAIL (c(011,011;011)=2 but dual gives 1)"
+    )
+    assert str(crosscheck_product(1, 2, 3)) == (
+        "product crosscheck on Fl(1,2,3): checked 54, failed 12 -> "
+        "FAIL (lambda=011 mu=001 sigma=021: 2 vs 1)"
+    )
+    monkeypatch.setattr(schubert, "restrict_to_spgr", off_by_one(restrict_to_spgr, "0101"))
+    report = crosscheck_restriction(2, 2)
+    assert (report.checked, report.failed) == (24, 3)
+    assert report.first_failure == "lambda=0101 sigma=01: ambient 2*y2 vs expansion 4*y2"
 
 
 def test_report_json():
@@ -339,5 +359,4 @@ def test_centerline_bounce_count_matches_ones():
             for lam in Gr(k, 2 * n).strings():
                 for nu in SpGr(k, n).strings():
                     for puzzle in half_puzzles(lam, nu, n):
-                        n01, _ = puzzle.red_bounce_counts()
-                        assert n01 == nu.compact().count("1")
+                        assert zero_one_bounces(puzzle) == nu.compact().count("1")

@@ -85,3 +85,55 @@ def test_one_contraction_kernel():
         if isinstance(node, ast.FunctionDef) and node.name in ("compose", "tensor_product")
     }
     assert not defined, defined
+
+
+# Public names that no code in the package references, each with the reason
+# it stays.  The `if __name__ == "__main__":` block of a module is a way in
+# from outside, so it references nothing.
+ENTRY_POINTS = {
+    "constant_value": "perfbench/tracing.py calls it on every traced multiplication",
+    "main": "the console script, schubpuzzles = schubpuzzles.cli:main",
+}
+
+
+def _public_definitions(tree):
+    """Module-level functions and classes, and the methods of those classes,
+    with a public name, as (node, is_method)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node, False
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield member, True
+
+
+def _references(node, inside=frozenset()):
+    """(name, read as an attribute, enclosing definitions) for every name
+    read and every attribute under node."""
+    if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+        return
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        inside = inside | {node}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id, False, inside
+    elif isinstance(node, ast.Attribute):
+        yield node.attr, True, inside
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, inside)
+
+
+def test_public_names_are_referenced_by_the_package():
+    # an entry point that only the tests use belongs in the tests: every
+    # public function, class and method must be referenced somewhere in the
+    # package outside its own definition (a method as an attribute)
+    trees = [tree for _, tree in _package_trees()]
+    references = [ref for tree in trees for ref in _references(tree)]
+    unreferenced = {
+        node.name
+        for tree in trees
+        for node, is_method in _public_definitions(tree)
+        if not any(name == node.name and (attribute or not is_method) and node not in inside
+                   for name, attribute, inside in references)
+    }
+    assert unreferenced == set(ENTRY_POINTS)

@@ -4,16 +4,17 @@ import random
 
 import pytest
 
-from schubpuzzles import diagram, weyl
+from schubpuzzles import diagram, schubert, weyl
 from schubpuzzles.diagram import (
     IDENTITY_NAMES,
     _identity_sides,
     as_sparse_map,
     build_half_diagram,
+    enumerate_labelings,
     transfer,
     verify_identity,
 )
-from schubpuzzles.labels import Fl, Gr, Label, SpGr
+from schubpuzzles.labels import Fl, Gr, Label, LabelString, SpGr
 from schubpuzzles.poly import Polynomial, u, y
 from schubpuzzles.tensor import (
     K_BLUE,
@@ -92,6 +93,46 @@ def reference_k_blue(a: Polynomial) -> SparseMap:
     return SparseMap(1, 1, entries)
 
 
+# -- readers of puzzles and matrix entries that the package does not need
+
+def half_puzzles(lam, nu, n: int) -> list:
+    return enumerate_labelings(schubert._half(n), out_labels=lam, in_labels=nu)
+
+
+def boundary(labeling) -> tuple[LabelString, LabelString]:
+    d, labels = labeling.diagram, labeling.edge_labels
+    return LabelString(labels[e] for e in d.output_edges), LabelString(labels[e] for e in d.input_edges)
+
+
+def vertex_weights(labeling) -> list[Polynomial]:
+    """The entry each vertex uses; a PARAMETER entry reads as the vertex's parameter."""
+    labels, weights = labeling.edge_labels, []
+    for v in labeling.diagram.vertices:
+        w = v.matrix.entries[tuple(labels[e] for e in v.out_edges), tuple(labels[e] for e in v.in_edges)]
+        weights.append(v.parameter if w is PARAMETER else w)
+    return weights
+
+
+def zero_one_bounces(labeling) -> int:
+    """The number of red wall bounces labeled 0 <- 1."""
+    labels = labeling.edge_labels
+    return sum(1 for v in labeling.diagram.vertices
+               if v.matrix is K_RED and (labels[v.out_edges[0]], labels[v.in_edges[0]]) == (Z, O))
+
+
+def entry(m: SparseMap, out, inn) -> Polynomial:
+    return m.entries.get((out, inn), Polynomial.zero())
+
+
+def positive_roots(group_type: str, n: int) -> set[Polynomial]:
+    """y_i - y_j for i < j; in type C also y_i + y_j for i < j, and 2 y_i."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    roots = {y(i) - y(j) for i, j in pairs}
+    if group_type == "C":
+        roots |= {y(i) + y(j) for i, j in pairs} | {2 * y(i) for i in range(1, n + 1)}
+    return roots
+
+
 def random_sparse_map(rng: random.Random, out_arity: int, in_arity: int, density: float = 0.3) -> SparseMap:
     """A random small map, for composition-law tests."""
     entries = {}
@@ -107,24 +148,24 @@ def random_sparse_map(rng: random.Random, out_arity: int, in_arity: int, density
 def test_r_red_green_entries():
     a, b = y(1), y(2)
     m = at(R_RED_GREEN, a - b)
-    assert m.entry((Z, O), (O, Z)) == a - b
-    assert m.entry((Z, Z), (Z, Z)) == 1
-    assert m.entry((T, O), (O, T)) == 1
-    assert m.entry((O, Z), (Z, O)) == 1
-    assert m.entry((Z, Z), (O, O)) == 0  # unlisted entries vanish
-    assert m.entry((T, T), (T, T)) == 0  # the red-green diagonal is not unit
+    assert entry(m, (Z, O), (O, Z)) == a - b
+    assert entry(m, (Z, Z), (Z, Z)) == 1
+    assert entry(m, (T, O), (O, T)) == 1
+    assert entry(m, (O, Z), (Z, O)) == 1
+    assert entry(m, (Z, Z), (O, O)) == 0  # unlisted entries vanish
+    assert entry(m, (T, T), (T, T)) == 0  # the red-green diagonal is not unit
     assert len(m.entries) == 10
 
 
 def test_r_same_colour_entries():
     a, b = y(1), y(2)
     m = at(R_SAME_COLOUR, b - a)
-    assert m.entry((O, Z), (Z, O)) == b - a
-    assert m.entry((T, Z), (Z, T)) == b - a
-    assert m.entry((O, T), (T, O)) == b - a
+    assert entry(m, (O, Z), (Z, O)) == b - a
+    assert entry(m, (T, Z), (Z, T)) == b - a
+    assert entry(m, (O, T), (T, O)) == b - a
     for pair in itertools.product(LABELS, repeat=2):
-        assert m.entry(pair, pair) == 1
-    assert m.entry((Z, O), (O, Z)) == 0
+        assert entry(m, pair, pair) == 1
+    assert entry(m, (Z, O), (O, Z)) == 0
     assert len(m.entries) == 12
 
 
@@ -136,21 +177,21 @@ def test_r_same_colour_at_zero_is_diagonal():
 def test_k_matrices():
     a = u(1)
     kb = at(K_BLUE, Polynomial.integer(-2) * a)
-    assert kb.entry((O,), (Z,)) == Polynomial.integer(-2) * a
-    assert kb.entry((T,), (T,)) == 1
-    assert kb.entry((Z,), (O,)) == 0
+    assert entry(kb, (O,), (Z,)) == Polynomial.integer(-2) * a
+    assert entry(kb, (T,), (T,)) == 1
+    assert entry(kb, (Z,), (O,)) == 0
     kr = K_RED
-    assert kr.entry((O,), (Z,)) is UNIT
-    assert kr.entry((Z,), (O,)) is UNIT
-    assert kr.entry((O,), (O,)) == 0
+    assert entry(kr, (O,), (Z,)) is UNIT
+    assert entry(kr, (Z,), (O,)) is UNIT
+    assert entry(kr, (O,), (O,)) == 0
     assert len(kr.entries) == 2
 
 
 def test_u_matrix():
     m = U_SPLIT
-    assert m.entry((Z, T), (O,)) is UNIT
-    assert m.entry((T, O), (Z,)) is UNIT
-    assert m.entry((Z, Z), (O,)) == 0
+    assert entry(m, (Z, T), (O,)) is UNIT
+    assert entry(m, (T, O), (Z,)) is UNIT
+    assert entry(m, (Z, Z), (O,)) == 0
     assert len(m.entries) == 5
 
 
@@ -273,7 +314,7 @@ def test_tensor_product_entries():
     g = reference_k_blue(y(2))
     t = tensor_product(f, g)
     assert t.out_arity == 2 and t.in_arity == 2
-    assert t.entry((O, O), (Z, Z)) == Polynomial.integer(-2) * y(2)
+    assert entry(t, (O, O), (Z, Z)) == Polynomial.integer(-2) * y(2)
 
 
 def test_three_factor_tensor_product():

@@ -6,7 +6,7 @@ from schubpuzzles import diagram, weyl
 from schubpuzzles.labels import Fl, Gr, LabelString, Record, SpGr
 from schubpuzzles.poly import Polynomial, y
 from schubpuzzles.schubert import specialize_to_half_torus
-from schubpuzzles.weyl import positive_roots, reduced_word, restriction, shortest_lift
+from schubpuzzles.weyl import reduced_word, restriction, shortest_lift
 
 parse = LabelString.parse
 
@@ -701,14 +701,6 @@ def test_restriction_weights_length_checked():
     for weights in ((y(1), y(2), y(3)), tuple(y(i) for i in range(1, 6))):
         with pytest.raises(ValueError, match="weights"):
             restriction(omega, omega, space, weights)
-
-
-def test_positive_roots():
-    roots_a = positive_roots("A", 3)
-    assert len(roots_a) == 3
-    roots_c = positive_roots("C", 2)
-    assert len(roots_c) == 4
-    assert Polynomial.integer(2) * y(1) in roots_c
 
 
 def test_coset_string_length_mismatch():
