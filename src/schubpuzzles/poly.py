@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 _VAR_RE = re.compile(r"^([A-Za-z]+)([0-9]+)$")
 _VAR_KEY_CACHE: dict[str, tuple[str, int]] = {}
@@ -202,19 +202,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "Polynomial":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.integer(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = Polynomial.integer(other)
@@ -229,46 +216,6 @@ class Polynomial:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    # -- substitution ----------------------------------------------------
-
-    def substitute(self, images: Mapping[str, Union["Polynomial", int]]) -> "Polynomial":
-        """Apply the ring homomorphism sending each variable to its image.
-
-        Images must have degree at most one (that is all the spectral-
-        parameter specializations ever need).  Unmapped variables are kept
-        fixed.
-        """
-        prepared: dict[int, Polynomial] = {}
-        for v, img in images.items():
-            img = img if isinstance(img, Polynomial) else Polynomial.integer(img)
-            if img.degree() > 1:
-                raise ValueError(f"substitution image for {v} has degree > 1")
-            prepared[_var_slot(v)] = img
-        result: dict[int, int] = {}
-        for packed, coeff in self._terms.items():
-            term = Polynomial.integer(coeff)
-            rest = 0
-            slot = 0
-            remaining = packed
-            while remaining:
-                e = remaining & _MASK
-                if e:
-                    if slot in prepared:
-                        term = term * prepared[slot] ** e
-                    else:
-                        rest += e << (_SHIFT * slot)
-                remaining >>= _SHIFT
-                slot += 1
-            for mono, c in term._terms.items():
-                key = mono + rest
-                new = result.get(key, 0) + c
-                if new:
-                    result[key] = new
-                else:
-                    del result[key]
-        # images of degree at most one never raise the degree
-        return Polynomial._raw(result, self._deg)
 
     # -- serialization ---------------------------------------------------
 

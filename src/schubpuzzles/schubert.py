@@ -8,7 +8,7 @@ Its positivity is structural and needs no factoring here: every vertex
 parameter of a triangle or half diagram is a positive root, so every
 puzzle's fugacity is a product of positive roots.  The three sweeps count
 checked and failed cases through one `_sweep`, which describes the first
-failure only.
+failure only.  Each crosscheck builds every fixed-point column once.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .diagram import build_half_diagram, build_triangle_diagram, transfer
 from .labels import Fl, Gr, LabelString, Record, SpGr, project_flag_string
-from .poly import Polynomial, y
+from .poly import Polynomial
 from .weyl import restrictions_at
 
 
@@ -143,13 +143,6 @@ def restrict_to_spgr(lam: LabelString, k: int, n: int) -> ExpansionResult:
     return _expansion(target, transfer(_half(n), lam.labels, reverse=True))
 
 
-def specialize_to_half_torus(p: Polynomial, n: int) -> Polynomial:
-    """Restrict the 2n ambient torus weights to the n symplectic ones:
-    y_{n+i} -> -y_{n+1-i}."""
-    images = {f"y{n + i}": -y(n + 1 - i) for i in range(1, n + 1)}
-    return p.substitute(images)
-
-
 def _sweep(description: str, cases, failure) -> Report:
     """Check every case (lhs, rhs, *where) of an exhaustive sweep for
     lhs == rhs; only the first failing case is described, by
@@ -204,8 +197,8 @@ def _pairing(expansion: dict, column: dict) -> Polynomial:
 
 def crosscheck_restriction(k: int, n: int) -> Report:
     """Verify the symplectic restriction expansion at every fixed point:
-    the ambient restriction at the doubled point, computed directly with the
-    ambient weights specialized to the symplectic torus, must equal the
+    the ambient restriction at the doubled point, computed in the torus of
+    the half diagram's north edges (y_1..y_n, -y_n..-y_1), must equal the
     pairing of the half-puzzle expansion with the symplectic restrictions."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
@@ -213,7 +206,7 @@ def crosscheck_restriction(k: int, n: int) -> Report:
         raise ValueError(f"crosscheck restriction needs n >= 1, got n={n}")
     ambient = Gr(k, 2 * n)
     target = SpGr(k, n)
-    weights = tuple(specialize_to_half_torus(y(i), n) for i in range(1, 2 * n + 1))
+    weights = tuple(_half(n).output_parameters())
     # each sigma's two checked columns: the ambient one at the doubled point,
     # in the symplectic torus, and the symplectic one at sigma
     columns = [
@@ -248,13 +241,16 @@ def crosscheck_product(j: int, k: int, n: int) -> Report:
     gr_j, gr_k = Gr(j, n), Gr(k, n)
     lams = gr_j.strings()
     mus = gr_k.strings()
+    # every Grassmannian point is the projection of some flag point
+    at_j = {rho: restrictions_at(gr_j, rho) for rho in lams}
+    at_k = {rho: restrictions_at(gr_k, rho) for rho in mus}
     # each sigma's flag column, and the Grassmannian columns at its projections
     columns = [
         (
             sigma,
             restrictions_at(space, sigma),
-            restrictions_at(gr_j, project_flag_string(sigma, "j")),
-            restrictions_at(gr_k, project_flag_string(sigma, "k")),
+            at_j[project_flag_string(sigma, "j")],
+            at_k[project_flag_string(sigma, "k")],
         )
         for sigma in space.strings()
     ]

@@ -30,8 +30,6 @@ section 2.4), so a dropped state never grows into a class of the space.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from . import diagram
 from .labels import Label, LabelString, Space
 from .poly import Polynomial, y
@@ -168,10 +166,14 @@ def reduced_word(images: tuple[int, ...], group_type: str) -> tuple[int, ...]:
 
 # -- the two-backend restriction -------------------------------------------
 
-@lru_cache(maxsize=None)
-def _restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
+def restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
     """The restrictions of every Schubert class of space to the fixed point
-    mu, as {label tuple of lambda: nonzero polynomial}.
+    mu, as {label tuple of lambda: nonzero polynomial}, computed by both the
+    subword and the wiring-diagram backends; the two must agree exactly.
+
+    `weights`, when given, is the tuple of images of y_1..y_rank: both
+    backends then compute directly in that torus, and the result equals the
+    restrictions with those images substituted afterwards.
 
     Both backends produce the whole column from the one reduced word of mu's
     lift.  The subword DP keeps only minimal coset representatives for the
@@ -181,6 +183,10 @@ def _restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
     share one.  The wiring backend is the forward transfer of the wiring
     diagram of the same word.  The two columns must be equal: the first
     lambda in lex order where they differ is named otherwise."""
+    if space.rank < 1:
+        raise ValueError(f"{space} has rank 0: fixed-point restrictions need rank at least 1")
+    if weights is not None and len(weights) != space.rank:
+        raise ValueError(f"{space} needs {space.rank} weights, got {len(weights)}")
     omega = space.omega()
     group_type, rank, labels = space.weyl_type, space.rank, omega.labels
     word = reduced_word(shortest_lift(mu, omega, group_type), group_type)
@@ -213,22 +219,6 @@ def _restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
             f"subword {by_subword.get(lam, zero)} vs wiring {by_wiring.get(lam, zero)}"
         )
     return by_subword
-
-
-def restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
-    """The restrictions of every Schubert class of space to the fixed point
-    mu, as {label tuple of lambda: nonzero polynomial}, computed by both the
-    subword and the wiring-diagram backends; the two must agree exactly.
-
-    `weights`, when given, is the tuple of images of y_1..y_rank: both
-    backends then compute directly in that torus, and the result equals the
-    restrictions with those images substituted afterwards.  The column is
-    cached and shared: callers must not change it."""
-    if space.rank < 1:
-        raise ValueError(f"{space} has rank 0: fixed-point restrictions need rank at least 1")
-    if weights is not None and len(weights) != space.rank:
-        raise ValueError(f"{space} needs {space.rank} weights, got {len(weights)}")
-    return _restrictions_at(space, mu, weights)
 
 
 def restriction(lam: LabelString, mu: LabelString, space: Space, weights=None) -> Polynomial:

@@ -63,6 +63,10 @@ def grlex_forms(spec) -> tuple[str, list]:
     return text, grlex
 
 
+def monomial(v: str, e: int) -> Polynomial:
+    return Polynomial.from_machine([(1, {v: e})])
+
+
 def rand_poly(rng, nvars=3, nterms=4, maxdeg=2):
     p = Polynomial.zero()
     for _ in range(nterms):
@@ -81,7 +85,7 @@ def test_mul_by_zero():
 
 
 def test_difference_of_squares():
-    assert (y(1) + y(2)) * (y(1) - y(2)) == y(1) ** 2 - y(2) ** 2
+    assert (y(1) + y(2)) * (y(1) - y(2)) == y(1) * y(1) - y(2) * y(2)
 
 
 def test_equality_and_zero():
@@ -99,28 +103,6 @@ def test_ring_axioms_random():
         assert (a * b) * c == a * (b * c)
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
-
-
-def test_substitute_examples():
-    p = y(2) - y(4)
-    out = p.substitute({"y3": -y(2), "y4": -y(1)})
-    assert out == y(2) + y(1)
-    assert (Polynomial.integer(-2) * u(1)).substitute({"u1": 0}) == 0
-    assert (y(1) - y(2)).substitute({}) == y(1) - y(2)
-
-
-def test_substitute_is_homomorphism():
-    rng = random.Random(5)
-    images = {"y1": y(2) + 1, "y2": -y(3), "y3": Polynomial.integer(2)}
-    for _ in range(25):
-        a, b = rand_poly(rng), rand_poly(rng)
-        assert (a * b).substitute(images) == a.substitute(images) * b.substitute(images)
-        assert (a + b).substitute(images) == a.substitute(images) + b.substitute(images)
-
-
-def test_substitute_degree_guard():
-    with pytest.raises(ValueError, match="degree"):
-        y(1).substitute({"y1": y(2) * y(2)})
 
 
 def test_text_form_examples():
@@ -166,8 +148,8 @@ def test_term_order_is_independent_of_registration_order():
 
 
 @PROPERTY
-@given(specs, specs, specs, st.integers(0, 3))
-def test_ring_operations_match_sympy(a, b, c, n):
+@given(specs, specs, specs)
+def test_ring_operations_match_sympy(a, b, c):
     pa, pb, pc = build(a), build(b), build(c)
     sa, sb, sc = oracle(a), oracle(b), oracle(c)
     assert to_sympy(pa) == sa
@@ -175,30 +157,9 @@ def test_ring_operations_match_sympy(a, b, c, n):
     assert to_sympy(pa - pb) == sa - sb
     assert to_sympy(-pa) == -sa
     assert to_sympy(pa * pb) == sa * sb
-    assert to_sympy(pa ** n) == sa ** n
     assert (pa == pb) == (sa == sb)
     assert (pa * pb) * pc == pa * (pb * pc)
     assert pa * (pb + pc) == pa * pb + pa * pc
-
-
-# a degree-one image: constant + sum of coefficient * variable
-linear_forms = st.tuples(
-    st.integers(-3, 3), st.dictionaries(st.sampled_from(NAMES), st.integers(-2, 2), max_size=2)
-)
-
-
-@PROPERTY
-@given(specs, st.dictionaries(st.sampled_from(NAMES), linear_forms, max_size=4))
-def test_substitute_matches_sympy(spec, forms):
-    images = {}
-    sympy_images = {}
-    for v, (const, coeffs) in forms.items():
-        linear = [(const, {})] + [(k, {w: 1}) for w, k in coeffs.items()]
-        images[v] = build(linear) if coeffs else const
-        sympy_images[SYMBOLS[v]] = oracle(linear).as_expr()
-    got = build(spec).substitute(images)
-    expected = oracle(spec).as_expr().subs(sympy_images, simultaneous=True)
-    assert to_sympy(got) == sympy.Poly(expected, *SYMBOLS.values())
 
 
 def test_machine_round_trip():
@@ -224,34 +185,27 @@ def test_pickle_is_process_independent():
         "import pickle, sys\n"
         "from schubpuzzles.poly import u, y\n"
         "u(1); y(7)\n"
-        "sys.stdout.buffer.write(pickle.dumps([y(1) - y(2), 3 * u(1) ** 2 * y(2) - 5]))\n"
+        "sys.stdout.buffer.write(pickle.dumps([y(1) - y(2), 3 * u(1) * u(1) * y(2) - 5]))\n"
     )
     printed = _run_fresh(
         "import pickle, sys\n"
         "from schubpuzzles.poly import u, y\n"
         "y(2); y(5); y(1); u(3)\n"
         "got = pickle.loads(sys.stdin.buffer.read())\n"
-        "assert got == [y(1) - y(2), 3 * u(1) ** 2 * y(2) - 5], got\n"
+        "assert got == [y(1) - y(2), 3 * u(1) * u(1) * y(2) - 5], got\n"
         "print(*got, sep='; ')\n",
         stdin=pickled,
     )
     assert printed.decode() == "y1 - y2; 3*u1^2*y2 - 5\n"
-    assert pickle.loads(pickled) == [y(1) - y(2), 3 * u(1) ** 2 * y(2) - 5]
+    assert pickle.loads(pickled) == [y(1) - y(2), 3 * u(1) * u(1) * y(2) - 5]
     assert pickle.loads(pickle.dumps(Polynomial.zero())) == 0
-
-
-def test_power():
-    assert (y(1) + 1) ** 0 == 1
-    assert (y(1) + 1) ** 3 == y(1) ** 3 + 3 * y(1) ** 2 + 3 * y(1) + 1
-    with pytest.raises(ValueError):
-        y(1) ** -1
 
 
 def test_degree_is_bounded_by_the_exponent_field():
     # a 16-bit exponent field must never carry into the next variable's
     with pytest.raises(ValueError, match="packing bound"):
         Polynomial.from_machine([(1, {"y1": 65535})]) * y(1)
-    top = y(1) ** 65535
+    top = monomial("y1", 65534) * y(1)
     assert top == Polynomial.from_machine([(1, {"y1": 65535})])
     assert str(top) == "y1^65535"
     with pytest.raises(ValueError, match="packing bound"):
@@ -262,5 +216,5 @@ def test_degree_is_bounded_by_the_exponent_field():
         Polynomial.from_machine([[1, {"y1": 65536}]])
     # after cancellation the carried bound exceeds the degree; a product
     # whose true degree fits is still allowed
-    cancelled = (y(1) ** 40000 + 1) - y(1) ** 40000
-    assert cancelled * y(2) ** 30000 == y(2) ** 30000
+    cancelled = (monomial("y1", 40000) + 1) - monomial("y1", 40000)
+    assert cancelled * monomial("y2", 30000) == monomial("y2", 30000)

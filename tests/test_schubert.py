@@ -12,10 +12,9 @@ from schubpuzzles.schubert import (
     crosscheck_restriction,
     duality_check,
     restrict_to_spgr,
-    specialize_to_half_torus,
     two_step_product,
 )
-from test_tensor import boundary, half_puzzles, positive_roots, vertex_weights, zero_one_bounces
+from test_tensor import boundary, half_puzzles, positive_roots, substitute, vertex_weights, zero_one_bounces
 
 parse = LabelString.parse
 
@@ -149,7 +148,7 @@ def test_nonequivariant_matches_substituting_zero():
     # substitute; constant_value() is None if any weight is left
     def zeroed(expansion):
         values = {
-            nu: c.substitute({f"y{i}": 0 for i in range(1, 5)}).constant_value()
+            nu: substitute(c, {f"y{i}": 0 for i in range(1, 5)}).constant_value()
             for nu, c in expansion.terms.items()
         }
         return {nu: value for nu, value in values.items() if value}
@@ -233,11 +232,12 @@ def test_restriction_coefficients_factor_into_positive_roots():
     assert y(1) + y(2) in positive_roots("C", 2)
 
 
-def test_specialize_to_half_torus():
-    assert specialize_to_half_torus(y(3), 2) == -y(2)
-    assert specialize_to_half_torus(y(4), 2) == -y(1)
-    assert specialize_to_half_torus(y(1) - y(4), 2) == y(1) + y(1)
-    assert specialize_to_half_torus(y(2), 3) == y(2)
+def test_half_diagram_north_edges_carry_the_symplectic_torus():
+    # the restriction crosscheck reads its ambient weights off these edges:
+    # y_{n+i} restricts to -y_{n+1-i} on the symplectic torus
+    for n in range(1, 8):
+        weights = [y(i) for i in range(1, n + 1)] + [-y(i) for i in range(n, 0, -1)]
+        assert schubert._half(n).output_parameters() == weights, n
 
 
 def test_duality_small():
@@ -278,7 +278,7 @@ def _in_simple_roots(n: int):
     for k in range(n + 1):
         for lam in Gr(k, 2 * n).strings():
             for coeff in restrict_to_spgr(lam, k, n).terms.values():
-                yield coeff.substitute(images)
+                yield substitute(coeff, images)
 
 
 @pytest.mark.parametrize("n, coefficients", [
@@ -294,12 +294,52 @@ def test_restriction_coefficients_are_positive_in_simple_roots(n, coefficients):
     assert negative == []
 
 
+@pytest.mark.parametrize("n, coefficients", [(1, 3), (2, 11), (3, 47), (4, 232), (5, 1298)])
+def test_product_coefficients_are_positive_in_simple_roots(n, coefficients):
+    # in the type A simple roots b_i = y_i - y_{i+1}, that is with
+    # y_i -> b_i + ... + b_{n-1} + y_n, every coefficient is a nonnegative
+    # combination of monomials in the b_i, and y_n drops out: the products
+    # of the roots y_i - y_j are invariant under shifting every y_i
+    b = [Polynomial.variable(f"b{i}") for i in range(1, n)]
+    images = {f"y{i}": sum(b[i - 1:], y(n)) for i in range(1, n + 1)}
+    polynomials = [
+        substitute(coeff, images)
+        for j in range(n + 1)
+        for k in range(j, n + 1)
+        for lam in Gr(j, n).strings()
+        for mu in Gr(k, n).strings()
+        for coeff in two_step_product(lam, mu, n).terms.values()
+    ]
+    bad = [str(p) for p in polynomials
+           if any(c < 0 or f"y{n}" in powers for c, powers in p.machine())]
+    assert len(polynomials) == coefficients
+    assert bad == []
+
+
 def test_crosscheck_product_small():
     assert crosscheck_product(1, 1, 2).passed
     r = crosscheck_product(1, 2, 3)
     assert r.passed
     assert r.checked == 3 * 3 * 6
     assert crosscheck_product(2, 2, 4).passed
+
+
+def test_crosschecks_build_each_column_once(monkeypatch):
+    # 2 columns at each of the 24 points of SpGr(2,4); at (1,2,4) one column
+    # at each of the 12 flag points and the 4 + 6 Grassmannian points
+    calls = []
+    real = schubert.restrictions_at
+
+    def counting(space, mu, weights=None):
+        calls.append((space, mu, weights))
+        return real(space, mu, weights)
+
+    monkeypatch.setattr(schubert, "restrictions_at", counting)
+    assert crosscheck_restriction(2, 4).passed
+    assert len(calls) == len(set(calls)) == 48
+    calls.clear()
+    assert crosscheck_product(1, 2, 4).passed
+    assert len(calls) == len(set(calls)) == 22
 
 
 def test_crosscheck_validation():

@@ -46,7 +46,7 @@ def test_memo_layers_are_fixed():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(_is_memo_decorator(d) for d in node.decorator_list)
     }
-    assert memoized == {"_triangle", "_half", "_restrictions_at"}
+    assert memoized == {"_triangle", "_half"}
 
 
 def _after_cli_import(expression: str) -> str:

@@ -93,6 +93,19 @@ def reference_k_blue(a: Polynomial) -> SparseMap:
     return SparseMap(1, 1, entries)
 
 
+def substitute(p: Polynomial, images: dict) -> Polynomial:
+    """The ring homomorphism that sends each variable named in `images` to
+    its image (a Polynomial or int) and keeps every other variable."""
+    total = Polynomial.zero()
+    for coeff, powers in p.machine():
+        term = Polynomial.integer(coeff)
+        for v, e in powers.items():
+            for _ in range(e):
+                term = term * images.get(v, Polynomial.variable(v))
+        total = total + term
+    return total
+
+
 # -- readers of puzzles and matrix entries that the package does not need
 
 def half_puzzles(lam, nu, n: int) -> list:
@@ -387,7 +400,7 @@ def test_diagrams_build_and_transfer_without_regrouping(monkeypatch):
     for space in (SpGr(1, 3), SpGr(3, 3), Gr(2, 4), Fl(1, 2, 4)):
         for mu in space.strings():
             # a fresh wiring diagram of mu's word, transferred forward
-            weyl._restrictions_at.__wrapped__(space, mu)
+            weyl.restrictions_at(space, mu)
     half = build_half_diagram(3)
     for lam in Gr(3, 6).strings():
         assert transfer(half, lam.labels, reverse=True)

@@ -5,8 +5,8 @@ import pytest
 from schubpuzzles import diagram, weyl
 from schubpuzzles.labels import Fl, Gr, LabelString, Record, SpGr
 from schubpuzzles.poly import Polynomial, y
-from schubpuzzles.schubert import specialize_to_half_torus
 from schubpuzzles.weyl import reduced_word, restriction, shortest_lift
+from test_tensor import substitute
 
 parse = LabelString.parse
 
@@ -194,7 +194,13 @@ def act_on_weights(w: GroupElement, p: Polynomial) -> Polynomial:
     for i in range(1, w.rank + 1):
         target = w.apply(i)
         images[f"y{i}"] = y(target) if target > 0 else -y(-target)
-    return p.substitute(images)
+    return substitute(p, images)
+
+
+def specialize_to_half_torus(p: Polynomial, n: int) -> Polynomial:
+    """Restrict the 2n ambient torus weights to the n symplectic ones:
+    y_{n+i} -> -y_{n+1-i}."""
+    return substitute(p, {f"y{n + i}": -y(n + 1 - i) for i in range(1, n + 1)})
 
 
 def word_betas(word, group_type: str, rank: int) -> list[Polynomial]:
@@ -561,7 +567,7 @@ def test_parabolic_table_equals_full_table_on_coset_representatives():
 
 
 def test_parabolic_generators_read_off_omega(monkeypatch):
-    # the J that _restrictions_at reads off omega (omega_i = omega_{i+1}, and
+    # the J that restrictions_at reads off omega (omega_i = omega_{i+1}, and
     # a final 10 in type C) is the J of the coset_string definition
     seen = []
     real_column = weyl._subword_column
@@ -575,7 +581,7 @@ def test_parabolic_generators_read_off_omega(monkeypatch):
     spaces += [SpGr(k, n) for n in range(1, 7) for k in range(n + 1)]
     spaces += [Fl(j, k, m) for m in range(1, 7) for k in range(m + 1) for j in range(k + 1)]
     for space in spaces:
-        weyl._restrictions_at.__wrapped__(space, space.omega())  # bypasses the cache
+        weyl.restrictions_at(space, space.omega())
         assert seen.pop() == parabolic_generators(space), str(space)
     assert len(spaces) == 27 + 27 + 83
 
@@ -597,11 +603,10 @@ def test_restriction_unit_class():
 
 
 def test_restriction_backends_agree_sweep():
-    # both backends run inside restriction(); disagreement raises
+    # both backends run inside restrictions_at; disagreement raises
     for space in (Gr(2, 4), Fl(1, 2, 3), SpGr(1, 2), SpGr(2, 2)):
-        for lam in space.strings():
-            for mu in space.strings():
-                restriction(lam, mu, space)
+        for mu in space.strings():
+            weyl.restrictions_at(space, mu)
 
 
 def test_backend_disagreement_raises(monkeypatch):
@@ -617,13 +622,9 @@ def test_backend_disagreement_raises(monkeypatch):
         table[perturbed_state] = table.get(perturbed_state, Polynomial.zero()) + 1
         return table
 
-    weyl._restrictions_at.cache_clear()
     monkeypatch.setattr(weyl, "_subword_column", perturbed_column)
-    try:
-        with pytest.raises(RuntimeError, match=r"0101\|1100 on Gr\(2,4\)"):
-            restriction(space.omega(), mu, space)
-    finally:
-        weyl._restrictions_at.cache_clear()
+    with pytest.raises(RuntimeError, match=r"0101\|1100 on Gr\(2,4\)"):
+        restriction(space.omega(), mu, space)
 
 
 def _column_mismatch_raises(monkeypatch, module, name, change, mu: str, match: str):
@@ -637,13 +638,9 @@ def _column_mismatch_raises(monkeypatch, module, name, change, mu: str, match: s
         change(column)
         return column
 
-    weyl._restrictions_at.cache_clear()
     monkeypatch.setattr(module, name, changed)
-    try:
-        with pytest.raises(RuntimeError, match=match):
-            weyl.restrictions_at(space, parse(mu))
-    finally:
-        weyl._restrictions_at.cache_clear()
+    with pytest.raises(RuntimeError, match=match):
+        weyl.restrictions_at(space, parse(mu))
 
 
 def test_column_comparison_catches_a_dropped_subword_class(monkeypatch):
@@ -682,17 +679,22 @@ def test_restriction_in_half_torus_equals_specialized_restriction():
         weights = tuple(specialize_to_half_torus(y(i), n) for i in range(1, 2 * n + 1))
         for k in range(2 * n + 1):
             space = Gr(k, 2 * n)
-            for lam in space.strings():
-                for mu in space.strings():
-                    direct = restriction(lam, mu, space, weights)
-                    assert direct == specialize_to_half_torus(restriction(lam, mu, space), n)
+            for mu in space.strings():
+                direct = weyl.restrictions_at(space, mu, weights)
+                ambient = weyl.restrictions_at(space, mu)
+                for lam in space.strings():
+                    expected = specialize_to_half_torus(ambient.get(lam.labels, Polynomial.zero()), n)
+                    assert direct.get(lam.labels, Polynomial.zero()) == expected
 
 
 def test_restriction_rejects_lambda_outside_the_space():
+    # the same strings are rejected as the fixed point mu of a column
     for lam, space in ((parse("11"), Gr(1, 2)), (parse("011"), Gr(1, 2)), (parse("02"), SpGr(2, 2)),
                        (parse("2"), SpGr(1, 2)), (parse("012"), Fl(1, 1, 3))):
         with pytest.raises(ValueError, match="is not in the orbit of"):
             restriction(lam, space.omega(), space)
+        with pytest.raises(ValueError, match="is not in the orbit of|string length mismatch"):
+            weyl.restrictions_at(space, lam)
 
 
 def test_restriction_weights_length_checked():
