@@ -25,30 +25,26 @@ from operator import itemgetter
 from typing import Iterable, Mapping
 
 _VAR_RE = re.compile(r"^([A-Za-z]+)([0-9]+)$")
-_VAR_KEY_CACHE: dict[str, tuple[str, int]] = {}
 
 _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
 _VAR_INDEX: dict[str, int] = {}
-_VAR_NAMES: list[str] = []
+_SLOTS: list[tuple[int, str]] = []  # (bit shift, name) of every variable, in var_key order
 
 
 def var_key(name: str) -> tuple[str, int]:
     """Sort key for variable names: 'y12' -> ('y', 12)."""
-    key = _VAR_KEY_CACHE.get(name)
-    if key is None:
-        m = _VAR_RE.match(name)
-        key = (m.group(1), int(m.group(2))) if m else (name, -1)
-        _VAR_KEY_CACHE[name] = key
-    return key
+    m = _VAR_RE.match(name)
+    return (m.group(1), int(m.group(2))) if m else (name, -1)
 
 
 def _var_slot(name: str) -> int:
     slot = _VAR_INDEX.get(name)
     if slot is None:
-        slot = len(_VAR_NAMES)
+        slot = len(_VAR_INDEX)
         _VAR_INDEX[name] = slot
-        _VAR_NAMES.append(name)
+        _SLOTS.append((_SHIFT * slot, name))
+        _SLOTS.sort(key=lambda s: var_key(s[1]))
     return slot
 
 
@@ -71,8 +67,7 @@ def _slot_order(monomials: Iterable[int]) -> list[tuple[int, str]]:
     used = 0
     for packed in monomials:
         used |= packed
-    slots = [(_SHIFT * i, v) for i, v in enumerate(_VAR_NAMES) if (used >> (_SHIFT * i)) & _MASK]
-    return sorted(slots, key=lambda slot: var_key(slot[1]))
+    return [slot for slot in _SLOTS if (used >> slot[0]) & _MASK]
 
 
 def _mono_degree(packed: int) -> int:

@@ -14,6 +14,7 @@ from schubpuzzles.schubert import (
     restrict_to_spgr,
     two_step_product,
 )
+from schubpuzzles.weyl import restrictions_at
 from test_tensor import boundary, half_puzzles, positive_roots, substitute, vertex_weights, zero_one_bounces
 
 parse = LabelString.parse
@@ -322,6 +323,30 @@ def test_crosscheck_product_small():
     assert r.passed
     assert r.checked == 3 * 3 * 6
     assert crosscheck_product(2, 2, 4).passed
+
+
+def test_product_coefficient_at_mu_is_the_restriction_to_mu():
+    # c^mu_{lam,mu} = sigma_lam|_mu on Gr(k, n): restrict sigma_lam sigma_mu =
+    # sum_nu c^nu_{lam,mu} sigma_nu to the point mu.  sigma_nu|_mu = 0 unless
+    # nu <= mu, c^nu_{lam,mu} = 0 unless nu >= mu, and sigma_mu|_mu != 0
+    # (Knutson-Tao, Duke Math. J. 119 (2003)).  With j = k the two-step
+    # product is the Gr(k, n) product, so the triangle's coefficient and both
+    # restriction backends must agree entry by entry, zero included, with no
+    # change of variables
+    zero = Polynomial.zero()
+    pairs = nonzero = 0
+    for n in range(1, 7):
+        for k in range(n + 1):
+            space = Gr(k, n)
+            for mu in space.strings():
+                column = restrictions_at(space, mu)
+                for lam in space.strings():
+                    coefficient = two_step_product(lam, mu, n).terms.get(mu, zero)
+                    assert coefficient == column.get(lam.labels, zero), (lam.compact(), mu.compact())
+                    pairs += 1
+                    nonzero += not coefficient.is_zero
+    assert pairs == 2 + 6 + 20 + 70 + 252 + 924
+    assert 0 < nonzero < pairs
 
 
 def test_crosschecks_build_each_column_once(monkeypatch):

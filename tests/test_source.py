@@ -72,7 +72,7 @@ def test_cli_import_loads_no_dataclasses():
 def test_cli_import_registers_no_variable():
     # a variable's slot is its registration order, so one registered at
     # import (a u_i, say) would shift every y slot in the packed monomials
-    assert _after_cli_import("schubpuzzles.poly._VAR_NAMES") == "[]\n"
+    assert _after_cli_import("schubpuzzles.poly._SLOTS") == "[]\n"
 
 
 def test_one_contraction_kernel():

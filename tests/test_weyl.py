@@ -5,13 +5,13 @@ import pytest
 from schubpuzzles import diagram, weyl
 from schubpuzzles.labels import Fl, Gr, LabelString, Record, SpGr
 from schubpuzzles.poly import Polynomial, y
-from schubpuzzles.weyl import reduced_word, restriction, shortest_lift
+from schubpuzzles.weyl import _word, restriction
 from test_tensor import substitute
 
 parse = LabelString.parse
 
 
-# -- signed permutations as objects: the reference for the tuple functions --
+# -- signed permutations: the reference for the functions on coset strings --
 
 class GroupElement(Record):
     __slots__ = ("group_type", "images")  # "A" or "C"; tuple[int, ...]
@@ -42,8 +42,8 @@ class GroupElement(Record):
 
     @classmethod
     def _unchecked(cls, group_type: str, images: tuple[int, ...]) -> "GroupElement":
-        # products of generators and inverses stay signed permutations, so
-        # they skip __init__'s check
+        # products of generators stay signed permutations, so they skip
+        # __init__'s check
         element = object.__new__(cls)
         object.__setattr__(element, "group_type", group_type)
         object.__setattr__(element, "images", images)
@@ -60,12 +60,6 @@ class GroupElement(Record):
         else:
             raise ValueError(f"generator index {i} out of range")
         return GroupElement._unchecked(self.group_type, tuple(imgs))
-
-    def inverse(self) -> "GroupElement":
-        images = [0] * self.rank
-        for position, a in enumerate(self.images, start=1):
-            images[abs(a) - 1] = position if a > 0 else -position
-        return GroupElement._unchecked(self.group_type, tuple(images))
 
     def length(self) -> int:
         """Coxeter length: inversions in type A, positive roots sent negative in type C."""
@@ -121,20 +115,19 @@ def coset_string(w: GroupElement, omega: LabelString) -> LabelString:
     image is negative."""
     if len(omega) != w.rank:
         raise ValueError("string length does not match the rank")
-    return LabelString(weyl._coset_labels(w.images, omega.labels))
+    out = [None] * w.rank
+    for label, image in zip(omega, w.images):
+        out[abs(image) - 1] = label if image > 0 else label.dual
+    return LabelString(out)
 
 
 def lift_of(s: LabelString, space) -> GroupElement:
-    """shortest_lift of s as a checked GroupElement."""
-    return GroupElement(space.weyl_type, shortest_lift(s, space.omega(), space.weyl_type))
+    """The element that `_word` spells for s, as a checked GroupElement."""
+    word = _word(s, space.omega(), space.weyl_type)
+    return GroupElement(space.weyl_type, word_to_element(word, space.weyl_type, space.rank).images)
 
 
-def subword_elements(column: dict, group_type: str) -> dict:
-    """A `_subword_column` result keyed by the element v, not by v^-1."""
-    return {GroupElement(group_type, u).inverse(): value for u, value in column.items()}
-
-
-# -- the full-group subword DP: the reference for the parabolic one ---------
+# -- the full-group subword DP: the reference for the one on coset strings --
 
 def left_mult(w: GroupElement, i: int) -> GroupElement:
     """The composite s_i o w: swaps the values +-i and +-(i+1), keeping
@@ -427,17 +420,22 @@ def test_coset_string():
 
 def test_shortest_lift_examples():
     gr = Gr(1, 2)
-    assert lift_of(gr.omega(), gr).is_identity()
-    assert shortest_lift(parse("10"), gr.omega(), "A") == (2, 1)
-    lift = lift_of(parse("20"), SpGr(1, 2))
-    assert lift.length() == 1
+    assert _word(gr.omega(), gr.omega(), "A") == ()
+    assert _word(parse("10"), gr.omega(), "A") == (1,)
+    assert lift_of(parse("10"), gr).images == (2, 1)
+    assert lift_of(parse("20"), SpGr(1, 2)).length() == 1
+    # 12 -> 21 -> 20 -> 02: a swap, the sign letter on the final 1, a swap
+    assert _word(parse("12"), SpGr(1, 2).omega(), "C") == (1, 2, 1)
+    assert lift_of(parse("12"), SpGr(1, 2)).images == (-1, 2)
 
 
 def test_shortest_lift_not_in_orbit():
-    with pytest.raises(ValueError, match="orbit"):
-        shortest_lift(parse("11"), Gr(1, 2).omega(), "A")
-    with pytest.raises(ValueError, match="orbit"):
-        shortest_lift(parse("00"), SpGr(1, 2).omega(), "C")
+    with pytest.raises(ValueError, match="11 is not in the orbit of 01"):
+        _word(parse("11"), Gr(1, 2).omega(), "A")
+    with pytest.raises(ValueError, match="00 is not in the orbit of 02"):
+        _word(parse("00"), SpGr(1, 2).omega(), "C")
+    with pytest.raises(ValueError, match="010 is not in the orbit of 01"):
+        _word(parse("010"), Gr(1, 2).omega(), "A")
 
 
 def _spaces_small():
@@ -461,16 +459,7 @@ def test_shortest_lift_minimal_and_round_trip():
             lift = lift_of(s, space)
             assert coset_string(lift, omega) == s
             assert lift.length() == best[s], (str(space), s.compact())
-
-
-def test_reduced_word_matches_group_element_reference():
-    for group_type in ("A", "C"):
-        for rank in range(5):
-            for w in all_elements(group_type, rank):
-                assert reduced_word(w.images, group_type) == w.reduced_word(), w
-    for images, group_type in (((1, 1, 3), "A"), ((1, -2, 3), "A"), ((2, 0), "C"), ((1, 3), "C")):
-        with pytest.raises(ValueError, match="signed permutation"):
-            reduced_word(images, group_type)
+            assert len(_word(s, omega, space.weyl_type)) == best[s]
 
 
 def _swept_spaces():
@@ -484,16 +473,18 @@ def _swept_spaces():
 
 
 def test_shortest_lift_matches_group_element_reference():
-    # the minimal coset representative is the one element of its coset with
-    # no right descent in the generators that fix omega
+    # _word must be reduced, and spell the minimal coset representative: the
+    # one element of its coset with no right descent in the generators that
+    # fix omega
     for space in _swept_spaces():
         omega, group_type = space.omega(), space.weyl_type
         parabolic = parabolic_generators(space)
         for s in space.strings():
-            lift = lift_of(s, space)
+            word = _word(s, omega, group_type)
+            lift = word_to_element(word, group_type, space.rank)
+            assert len(word) == lift.length(), (str(space), s.compact())
             assert coset_string(lift, omega) == s, (str(space), s.compact())
             assert not any(lift.is_right_descent(i) for i in parabolic), (str(space), s.compact())
-            assert reduced_word(lift.images, group_type) == lift.reduced_word()
 
 
 def test_subword_restriction_base_cases():
@@ -538,51 +529,52 @@ def test_subword_independent_of_reduced_word():
 
 
 def test_parabolic_table_equals_full_table_on_coset_representatives():
-    # the right-to-left DP pruned to W^J must give, at every point, exactly the
-    # full-group table's entries at the shortest lifts of the space's strings,
-    # and never hold more states than the space has classes; on the
-    # crosscheck's call path at (k, n) = (2, 4) it must also do so in the
-    # symplectic torus, against the full table with those weights substituted
+    # the right-to-left DP on strings must give, at every point, exactly the
+    # full-group table's entries at the minimal coset representatives (no
+    # right descent in J), keyed by their coset strings, and never hold more
+    # states than the space has classes; on the crosscheck's call path at
+    # (k, n) = (2, 4) it must also do so in the symplectic torus, against
+    # the full table with those weights substituted.  The full table runs on
+    # the reference's own reduced word, the DP on _word's.
     spaces = (
         Gr(2, 6), Gr(3, 6), SpGr(1, 3), SpGr(2, 3), SpGr(3, 3),
         SpGr(2, 4), SpGr(4, 4), Fl(1, 2, 4), Gr(2, 8),
     )
     for space in spaces:
-        omega = space.omega()
-        lifts = [lift_of(lam, space) for lam in space.strings()]
+        omega, group_type = space.omega(), space.weyl_type
         parabolic = parabolic_generators(space)
         weights = tuple(specialize_to_half_torus(y(i), 4) for i in range(1, space.rank + 1))
         weighted = space in (SpGr(2, 4), Gr(2, 8))
         for mu in space.strings():
-            sigma = lift_of(mu, space)
-            args = (sigma.reduced_word(), space.weyl_type, space.rank, parabolic)
-            table = subword_elements(weyl._subword_column(*args), space.weyl_type)
-            full = full_subword_table(sigma)
-            assert table == {w: full[w] for w in lifts if w in full}, (str(space), mu.compact())
-            assert len(table) <= len(lifts)
+            full = full_subword_table(lift_of(mu, space))
+            expected = {
+                coset_string(w, omega).labels: value for w, value in full.items()
+                if not any(w.is_right_descent(i) for i in parabolic)
+            }
+            args = (_word(mu, omega, group_type), omega, group_type)
+            table = weyl._subword_column(*args)
+            assert table == expected, (str(space), mu.compact())
+            assert len(table) <= len(space.strings())
             if weighted:
-                expected = {w: specialize_to_half_torus(full[w], 4) for w in table}
-                weighted_table = subword_elements(weyl._subword_column(*args, weights), space.weyl_type)
-                assert weighted_table == expected, (str(space), mu.compact())
+                expected = {lam: specialize_to_half_torus(value, 4) for lam, value in expected.items()}
+                assert weyl._subword_column(*args, weights) == expected, (str(space), mu.compact())
 
 
-def test_parabolic_generators_read_off_omega(monkeypatch):
-    # the J that restrictions_at reads off omega (omega_i = omega_{i+1}, and
-    # a final 10 in type C) is the J of the coset_string definition
-    seen = []
-    real_column = weyl._subword_column
-
-    def recording_column(word, group_type, rank, parabolic, weights=None):
-        seen.append(tuple(parabolic))
-        return real_column(word, group_type, rank, parabolic, weights)
-
-    monkeypatch.setattr(weyl, "_subword_column", recording_column)
+def test_parabolic_generators_read_off_omega():
+    # the DP drops a letter at omega exactly when omega's entries there are
+    # equal (or, for the sign letter, omega ends in 10): those letters are
+    # the J of the coset_string definition
     spaces = [Gr(k, m) for m in range(1, 7) for k in range(m + 1)]
     spaces += [SpGr(k, n) for n in range(1, 7) for k in range(n + 1)]
     spaces += [Fl(j, k, m) for m in range(1, 7) for k in range(m + 1) for j in range(k + 1)]
     for space in spaces:
-        weyl.restrictions_at(space, space.omega())
-        assert seen.pop() == parabolic_generators(space), str(space)
+        omega, group_type = space.omega(), space.weyl_type
+        identity = GroupElement.identity(group_type, space.rank)
+        dropped = tuple(
+            q for q in identity.generator_indices()
+            if weyl._subword_column((q,), omega, group_type) == {omega.labels: 1}
+        )
+        assert dropped == parabolic_generators(space), str(space)
     assert len(spaces) == 27 + 27 + 83
 
 
@@ -614,11 +606,11 @@ def test_backend_disagreement_raises(monkeypatch):
     # that entry, even when a different class is asked for
     space = Gr(2, 4)
     mu = parse("1100")
-    perturbed_state = lift_of(parse("0101"), space).inverse().images
+    perturbed_state = parse("0101").labels
     real_column = weyl._subword_column
 
-    def perturbed_column(word, group_type, rank, parabolic, weights=None):
-        table = dict(real_column(word, group_type, rank, parabolic, weights))
+    def perturbed_column(word, omega, group_type, weights=None):
+        table = dict(real_column(word, omega, group_type, weights))
         table[perturbed_state] = table.get(perturbed_state, Polynomial.zero()) + 1
         return table
 
@@ -644,9 +636,8 @@ def _column_mismatch_raises(monkeypatch, module, name, change, mu: str, match: s
 
 
 def test_column_comparison_catches_a_dropped_subword_class(monkeypatch):
-    state = lift_of(parse("0101"), Gr(2, 4)).inverse().images
     _column_mismatch_raises(
-        monkeypatch, weyl, "_subword_column", lambda table: table.pop(state),
+        monkeypatch, weyl, "_subword_column", lambda table: table.pop(parse("0101").labels),
         "1100", r"disagreement for 0101\|1100 on Gr\(2,4\): subword 0 vs wiring",
     )
 
@@ -657,17 +648,6 @@ def test_column_comparison_catches_an_extra_wiring_entry(monkeypatch):
     _column_mismatch_raises(
         monkeypatch, diagram, "transfer", lambda column: column.update({parse("1100").labels: y(1)}),
         "0101", r"disagreement for 1100\|0101 on Gr\(2,4\): subword 0 vs wiring y1",
-    )
-
-
-def test_column_comparison_catches_two_states_in_one_coset(monkeypatch):
-    # 0101's lift times s_1 (in J for Gr(2,4)) lies in the same coset
-    lift = lift_of(parse("0101"), Gr(2, 4))
-    other = lift.right_mult(1)
-    assert coset_string(other, Gr(2, 4).omega()) == parse("0101")
-    _column_mismatch_raises(
-        monkeypatch, weyl, "_subword_column", lambda table: table.update({other.inverse().images: y(1)}),
-        "1100", r"two subword states give 0101\|1100 on Gr\(2,4\)",
     )
 
 
@@ -693,7 +673,7 @@ def test_restriction_rejects_lambda_outside_the_space():
                        (parse("2"), SpGr(1, 2)), (parse("012"), Fl(1, 1, 3))):
         with pytest.raises(ValueError, match="is not in the orbit of"):
             restriction(lam, space.omega(), space)
-        with pytest.raises(ValueError, match="is not in the orbit of|string length mismatch"):
+        with pytest.raises(ValueError, match="is not in the orbit of"):
             weyl.restrictions_at(space, lam)
 
 
@@ -702,7 +682,7 @@ def test_restriction_weights_length_checked():
     omega = space.omega()
     for weights in ((y(1), y(2), y(3)), tuple(y(i) for i in range(1, 6))):
         with pytest.raises(ValueError, match="weights"):
-            restriction(omega, omega, space, weights)
+            weyl.restrictions_at(space, omega, weights)
 
 
 def test_coset_string_length_mismatch():
