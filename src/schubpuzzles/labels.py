@@ -1,9 +1,13 @@
-"""The three-letter alphabet {0, 10, 1} and boundary strings.
+"""The three-letter alphabet {0, 10, 1}, boundary strings, and the spaces
+whose fixed points they are.
 
 "10" is a single letter, ordered strictly between 0 and 1; everything in
 the package (string enumeration, expansion keys, matrix triangularity)
-uses the alphabet order 0 < 10 < 1.  In compact text I/O the letter 10 is
-written as the digit '2' so that strings stay one column per letter.
+uses the alphabet order 0 < 10 < 1.  A string is its label tuple: a
+`LabelString` is a tuple of `Label`s, so diagram boundaries, column keys
+and subword-DP states are strings or plain tuples that equal them.  In
+compact text I/O the letter 10 is written as the digit '2' so that strings
+stay one column per letter.
 """
 
 from __future__ import annotations
@@ -44,13 +48,16 @@ _FROM_COMPACT = {"0": Label.ZERO, "2": Label.TEN, "1": Label.ONE}
 _FROM_TOKEN = {"0": Label.ZERO, "10": Label.TEN, "1": Label.ONE}
 
 
-class LabelString:
-    """An immutable finite word in the alphabet {0, 10, 1}."""
+class LabelString(tuple):
+    """An immutable finite word in the alphabet {0, 10, 1}: the tuple of its
+    Labels.  It equals, hashes, sorts, iterates and indexes as that tuple,
+    so a dict keyed by label tuples is read with the string itself.  `+` and
+    slices give plain tuples, equal to the LabelString of the same labels."""
 
-    __slots__ = ("_labels",)
+    __slots__ = ()
 
-    def __init__(self, labels: Iterable[Label] = ()):
-        self._labels = tuple(x if x.__class__ is Label else Label(x) for x in labels)
+    def __new__(cls, labels: Iterable[Label] = ()):
+        return super().__new__(cls, (x if x.__class__ is Label else Label(x) for x in labels))
 
     @classmethod
     def parse(cls, text: str) -> "LabelString":
@@ -59,49 +66,33 @@ class LabelString:
         Positions in error messages are 1-based.
         """
         text = text.strip()
-        if text == "":
-            return cls()
         if "," in text:
-            labels = []
-            for i, tok in enumerate(text.split(",")):
-                tok = tok.strip()
-                if tok not in _FROM_TOKEN:
-                    raise ValueError(f"bad label {tok!r} at position {i + 1}")
-                labels.append(_FROM_TOKEN[tok])
-            return cls(labels)
+            tokens, table, what = [t.strip() for t in text.split(",")], _FROM_TOKEN, "label"
+        else:
+            tokens, table, what = text, _FROM_COMPACT, "label character"
         labels = []
-        for i, ch in enumerate(text):
-            if ch not in _FROM_COMPACT:
-                raise ValueError(f"bad label character {ch!r} at position {i + 1}")
-            labels.append(_FROM_COMPACT[ch])
+        for i, tok in enumerate(tokens):
+            if tok not in table:
+                raise ValueError(f"bad {what} {tok!r} at position {i + 1}")
+            labels.append(table[tok])
         return cls(labels)
 
     def compact(self) -> str:
-        return "".join(x.compact for x in self._labels)
+        return "".join(x.compact for x in self)
 
     def verbose(self) -> str:
-        return ",".join(x.token for x in self._labels)
+        return ",".join(x.token for x in self)
 
     def display(self, verbose: bool = False) -> str:
         return self.verbose() if verbose else self.compact()
 
-    @property
-    def labels(self) -> tuple[Label, ...]:
-        return self._labels
-
     def content(self) -> tuple[int, int, int]:
         """Counts (#0, #10, #1)."""
-        n = [0, 0, 0]
-        for x in self._labels:
-            n[x] += 1
-        return tuple(n)
-
-    def count(self, label: Label) -> int:
-        return self._labels.count(label)
+        return tuple(map(self.count, LABELS))
 
     def dualize(self) -> "LabelString":
         """Reverse the word and exchange 0 with 1 (10 stays put)."""
-        return LabelString(x.dual for x in reversed(self._labels))
+        return LabelString(x.dual for x in reversed(self))
 
     def double(self) -> "LabelString":
         """Concatenate with the dualized word, then turn every 10 into a 1.
@@ -109,33 +100,7 @@ class LabelString:
         The result is a 0/1 word of twice the length; it is the ambient
         Grassmannian fixed point sitting over this symplectic one.
         """
-        doubled = self._labels + self.dualize()._labels
-        return LabelString(Label.ONE if x is Label.TEN else x for x in doubled)
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    def __iter__(self) -> Iterator[Label]:
-        return iter(self._labels)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return LabelString(self._labels[i])
-        return self._labels[i]
-
-    def __add__(self, other: "LabelString") -> "LabelString":
-        return LabelString(self._labels + other._labels)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LabelString):
-            return NotImplemented
-        return self._labels == other._labels
-
-    def __lt__(self, other: "LabelString") -> bool:
-        return self._labels < other._labels
-
-    def __hash__(self) -> int:
-        return hash(self._labels)
+        return LabelString(Label.ONE if x is Label.TEN else x for x in self + self.dualize())
 
     def __repr__(self) -> str:
         return f"LabelString({self.compact()!r})"
@@ -167,14 +132,6 @@ def strings_with_content(length: int, content: tuple[int, int, int]) -> list[Lab
     return [LabelString(word) for word in _words(content)]
 
 
-def spgr_strings(k: int, n: int) -> list[LabelString]:
-    """Fixed-point strings of the symplectic Grassmannian: length n, exactly
-    n-k letters 10, the rest any mix of 0s and 1s.  Lex order, 0 < 10 < 1."""
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return sorted(s for n0 in range(k + 1) for s in strings_with_content(n, (n0, n - k, k - n0)))
-
-
 def project_flag_string(s: LabelString, which: str) -> LabelString:
     """Image of a two-step flag fixed point in one of the two Grassmannians.
 
@@ -192,12 +149,14 @@ class Record:
     """An immutable value whose fields are its __slots__, in the order of
     its constructor's arguments.  It is equal to, and hashed with, values
     of its own class only, so Gr(2,4) and SpGr(2,4) are distinct cache
-    keys.  Assigning or deleting a field raises AttributeError."""
+    keys.  Assigning or deleting a field raises AttributeError.  A subclass
+    without slots, such as `Space`, is a base for records and has no fields."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._fields = attrgetter(*cls.__slots__)
+        if cls.__slots__:
+            cls._fields = attrgetter(*cls.__slots__)
 
     def __init__(self, *values):
         for name, value in zip(self.__slots__, values, strict=True):
@@ -224,96 +183,76 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
 
-class Gr(Record):
+class Space(Record):
+    """A space whose torus fixed points are the words in the orbit of its
+    base word omega.  Its fields are sizes 0 <= ... <= rank, the last one
+    its rank.  Omega is 0^a 10^b 1^c for (a, b, c) = `content`; the fixed
+    points of Gr and Fl are the words of that content."""
+
+    __slots__ = ()
+    weyl_type = "A"
+
+    def __init__(self, *sizes: int):
+        if len(sizes) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} sizes")
+        super().__init__(*sizes)
+        if not all(a <= b for a, b in zip((0, *sizes), sizes)):
+            raise ValueError(f"need 0 <= {' <= '.join(self.__slots__)}, got {self}")
+
+    @property
+    def rank(self) -> int:
+        return self._fields(self)[-1]
+
+    @property
+    def content(self) -> tuple[int, int, int]:
+        """Omega's counts (#0, #10, #1): 0 up to the first size, 10 up to
+        the second-to-last and 1 up to the last (Gr(k,m) has no 10s)."""
+        sizes = self._fields(self)
+        return sizes[0], sizes[-2] - sizes[0], sizes[-1] - sizes[-2]
+
+    def omega(self) -> LabelString:
+        return LabelString(x for x, n in zip(LABELS, self.content) for _ in range(n))
+
+    def strings(self) -> list[LabelString]:
+        return strings_with_content(self.rank, self.content)
+
+    def __contains__(self, s: LabelString) -> bool:
+        return s.content() == self.content
+
+    def __str__(self) -> str:
+        return f"{type(self).__name__}({','.join(map(str, self._fields(self)))})"
+
+
+class Gr(Space):
     """The Grassmannian of k-planes in an m-dimensional space."""
 
     __slots__ = ("k", "m")
 
-    def __init__(self, k: int, m: int):
-        if not 0 <= k <= m:
-            raise ValueError(f"need 0 <= k <= m, got Gr({k},{m})")
-        super().__init__(k, m)
 
-    weyl_type = "A"
-
-    @property
-    def rank(self) -> int:
-        return self.m
-
-    def omega(self) -> LabelString:
-        return LabelString([Label.ZERO] * self.k + [Label.ONE] * (self.m - self.k))
-
-    def strings(self) -> list[LabelString]:
-        return strings_with_content(self.m, (self.k, 0, self.m - self.k))
-
-    def __contains__(self, s: LabelString) -> bool:
-        return s.content() == (self.k, 0, self.m - self.k)
-
-    def __str__(self) -> str:
-        return f"Gr({self.k},{self.m})"
-
-
-class SpGr(Record):
-    """Isotropic k-planes in a 2n-dimensional symplectic space."""
+class SpGr(Space):
+    """Isotropic k-planes in a 2n-dimensional symplectic space.  Its fixed
+    points are the words of length n with exactly n-k letters 10, the rest
+    any mix of 0s and 1s."""
 
     __slots__ = ("k", "n")
-
-    def __init__(self, k: int, n: int):
-        if not 0 <= k <= n:
-            raise ValueError(f"need 0 <= k <= n, got SpGr({k},{n})")
-        super().__init__(k, n)
-
     weyl_type = "C"
 
     @property
-    def rank(self) -> int:
-        return self.n
-
-    def omega(self) -> LabelString:
-        return LabelString([Label.ZERO] * self.k + [Label.TEN] * (self.n - self.k))
+    def content(self) -> tuple[int, int, int]:
+        return self.k, self.n - self.k, 0
 
     def strings(self) -> list[LabelString]:
-        return spgr_strings(self.k, self.n)
+        """The fixed points in lex order, 0 < 10 < 1."""
+        k, n = self.k, self.n
+        return sorted(
+            s for n0 in range(k + 1) for s in strings_with_content(n, (n0, n - k, k - n0))
+        )
 
     def __contains__(self, s: LabelString) -> bool:
         return len(s) == self.n and s.count(Label.TEN) == self.n - self.k
 
-    def __str__(self) -> str:
-        return f"SpGr({self.k},{self.n})"
 
-
-class Fl(Record):
+class Fl(Space):
     """The two-step flag manifold of nested j- and k-planes in m-space."""
 
     __slots__ = ("j", "k", "m")
-
-    def __init__(self, j: int, k: int, m: int):
-        if not 0 <= j <= k <= m:
-            raise ValueError(f"need 0 <= j <= k <= m, got Fl({j},{k},{m})")
-        super().__init__(j, k, m)
-
-    weyl_type = "A"
-
-    @property
-    def rank(self) -> int:
-        return self.m
-
-    def omega(self) -> LabelString:
-        return LabelString(
-            [Label.ZERO] * self.j
-            + [Label.TEN] * (self.k - self.j)
-            + [Label.ONE] * (self.m - self.k)
-        )
-
-    def strings(self) -> list[LabelString]:
-        return strings_with_content(self.m, (self.j, self.k - self.j, self.m - self.k))
-
-    def __contains__(self, s: LabelString) -> bool:
-        return s.content() == (self.j, self.k - self.j, self.m - self.k)
-
-    def __str__(self) -> str:
-        return f"Fl({self.j},{self.k},{self.m})"
-
-
-Space = Gr | SpGr | Fl
-

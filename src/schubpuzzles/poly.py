@@ -205,8 +205,10 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant equals its int, so it hashes as that int
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            value = self.constant_value()
+            self._hash = hash(frozenset(self._terms.items()) if value is None else value)
         return self._hash
 
     def __bool__(self) -> bool:

@@ -125,7 +125,7 @@ def two_step_product(lam: LabelString, mu: LabelString, n: int) -> ExpansionResu
     k = _binary_content(mu, n, "mu")
     if j > k:
         raise ValueError(f"lambda has {j} zeros but mu has {k}; need #0(lambda) <= #0(mu)")
-    return _expansion(Fl(j, k, n), transfer(_triangle(n), (lam + mu).labels, reverse=True))
+    return _expansion(Fl(j, k, n), transfer(_triangle(n), lam + mu, reverse=True))
 
 
 def restrict_to_spgr(lam: LabelString, k: int, n: int) -> ExpansionResult:
@@ -140,7 +140,7 @@ def restrict_to_spgr(lam: LabelString, k: int, n: int) -> ExpansionResult:
         raise ValueError(
             f"lambda must have content 0^{k} 1^{2 * n - k}, got {lam.compact()}"
         )
-    return _expansion(target, transfer(_half(n), lam.labels, reverse=True))
+    return _expansion(target, transfer(_half(n), lam, reverse=True))
 
 
 def _sweep(description: str, cases, failure) -> Report:
@@ -189,7 +189,7 @@ def _pairing(expansion: dict, column: dict) -> Polynomial:
     nothing."""
     total = Polynomial.zero()
     for nu, coeff in expansion.items():
-        value = column.get(nu.labels)
+        value = column.get(nu)
         if value is not None:
             total = total + coeff * value
     return total
@@ -219,7 +219,7 @@ def crosscheck_restriction(k: int, n: int) -> Report:
         for lam in ambient.strings():
             expansion = restrict_to_spgr(lam, k, n).terms
             for sigma, ambient_column, target_column in columns:
-                lhs = ambient_column.get(lam.labels, zero)
+                lhs = ambient_column.get(lam, zero)
                 yield lhs, _pairing(expansion, target_column), lam, sigma
 
     return _sweep(
@@ -262,7 +262,7 @@ def crosscheck_product(j: int, k: int, n: int) -> Report:
                 expansion = two_step_product(lam, mu, n).terms
                 for sigma, column, column_j, column_k in columns:
                     lhs = _pairing(expansion, column)
-                    rhs = column_j.get(lam.labels, zero) * column_k.get(mu.labels, zero)
+                    rhs = column_j.get(lam, zero) * column_k.get(mu, zero)
                     yield lhs, rhs, lam, mu, sigma
 
     return _sweep(

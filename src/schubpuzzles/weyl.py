@@ -62,7 +62,7 @@ def _word(mu: LabelString, omega: LabelString, group_type: str) -> tuple[int, ..
             break
         word.append(i)
         i = max(i - 1, 1)
-    if tuple(s) != omega.labels:
+    if tuple(s) != omega:
         raise ValueError(f"{mu.compact()} is not in the orbit of {omega.compact()}")
     return tuple(word)
 
@@ -91,7 +91,7 @@ def _subword_column(word, omega: LabelString, group_type: str, weights=None) -> 
             betas.append(weight(prefix[q - 1]) - weight(prefix[q]))
             prefix[q - 1], prefix[q] = prefix[q], prefix[q - 1]
     sign = rank if group_type == "C" else 0  # the sign letter, if any
-    states = {omega.labels: Polynomial.integer(1)}
+    states = {omega: Polynomial.integer(1)}
     for q, beta in zip(reversed(word), reversed(betas)):
         new_states = dict(states)
         for state, total in states.items():
@@ -114,6 +114,7 @@ def restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
     """The restrictions of every Schubert class of space to the fixed point
     mu, as {label tuple of lambda: nonzero polynomial}, computed by both the
     subword and the wiring-diagram backends; the two must agree exactly.
+    A `LabelString` equals its label tuple, so it reads the column directly.
 
     `weights`, when given, is the tuple of images of y_1..y_rank: both
     backends then compute directly in that torus, and the result equals the
@@ -135,7 +136,7 @@ def restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
         if not value.is_zero
     }
     wiring = diagram.build_wiring_diagram(word, group_type, space.rank, weights)
-    by_wiring = diagram.transfer(wiring, omega.labels)
+    by_wiring = diagram.transfer(wiring, omega)
     if by_subword != by_wiring:
         zero = Polynomial.zero()
         lam = min(
@@ -154,4 +155,4 @@ def restriction(lam: LabelString, mu: LabelString, space: Space) -> Polynomial:
     entry of `restrictions_at(space, mu)`."""
     if lam not in space:
         raise ValueError(f"{lam.compact()} is not in the orbit of {space.omega().compact()}")
-    return restrictions_at(space, mu).get(lam.labels, Polynomial.zero())
+    return restrictions_at(space, mu).get(lam, Polynomial.zero())

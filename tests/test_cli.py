@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import json
 import pathlib
 import subprocess
@@ -307,3 +308,78 @@ def test_console_script_reads_sys_argv(capsys):
     bad = _console_script("restrict", "--lambda", "0101")
     assert bad.returncode == 1
     assert "the following arguments are required: --k, --n" in bad.stderr
+
+
+def _binary_words(n: int) -> list[str]:
+    return ["".join(w) for w in itertools.product("01", repeat=n)]
+
+
+def _digest_corpus() -> list[list[str]]:
+    """A fixed argv list over every subcommand, built without the package."""
+    corpus = []
+    # every restrict lambda for n <= 3, in text and JSON
+    for n in range(1, 4):
+        for lam in _binary_words(2 * n):
+            k = lam.count("0")
+            if k <= n:
+                for fmt in ("text", "json"):
+                    corpus.append(["restrict", "--lambda", lam, "--k", str(k), "--n", str(n),
+                                   "--format", fmt])
+    # products: every pair for n <= 3 and every fifth pair for n = 4, in JSON
+    # and with verbose labels; pairs with #0(lambda) > #0(mu) are rejected
+    for n in range(1, 5):
+        pairs = list(itertools.product(_binary_words(n), repeat=2))
+        for lam, mu in pairs[:: 5 if n == 4 else 1]:
+            query = ["product", "--lambda", lam, "--mu", mu, "--n", str(n)]
+            corpus += [query + ["--format", "json"], query + ["--verbose-labels"]]
+    # restriction-at-point on the three spaces, valid and rejected strings
+    points = (
+        (["--space", "gr", "--k", "2", "--m", "4"], ("0011", "0101", "1010", "1100", "0111")),
+        (["--space", "spgr", "--k", "1", "--n", "3"], ("022", "202", "122", "220", "012")),
+        (["--space", "fl", "--j", "1", "--k", "2", "--m", "3"], ("021", "120", "210", "012", "011")),
+    )
+    for space, strings in points:
+        for lam, mu in itertools.product(strings, repeat=2):
+            query = ["restriction-at-point", *space, "--lambda", lam, "--mu", mu]
+            corpus += [query, query + ["--format", "json"]]
+    # bad spaces and bad strings
+    corpus += [
+        ["restriction-at-point", "--space", "gr", "--k", "3", "--m", "2", "--lambda", "", "--mu", ""],
+        ["restriction-at-point", "--space", "spgr", "--k", "3", "--n", "2", "--lambda", "", "--mu", ""],
+        ["restriction-at-point", "--space", "spgr", "--k", "1", "--lambda", "02", "--mu", "02"],
+        ["restriction-at-point", "--space", "spgr", "--k", "1", "--n", "2", "--lambda", "02",
+         "--mu", "022"],
+        ["restriction-at-point", "--space", "fl", "--j", "2", "--k", "1", "--m", "3",
+         "--lambda", "001", "--mu", "001"],
+        ["restriction-at-point", "--space", "gr", "--k", "1", "--m", "2", "--lambda", "0x",
+         "--mu", "01"],
+        ["restriction-at-point", "--space", "gr", "--k", "1", "--m", "2", "--lambda", "0,10",
+         "--mu", "0,1,1"],
+        ["restrict", "--lambda", "0,3,1", "--k", "1", "--n", "1"],
+        ["restrict", "--lambda", "0211", "--k", "1", "--n", "2"],
+        ["product", "--lambda", "0a1", "--mu", "001", "--n", "3"],
+        ["product", "--lambda", "01", "--mu", "001", "--n", "3"],
+        ["enumerate", "--family", "half", "--n", "2", "--nw", "01"],
+        ["duality", "--k", "0", "--m", "0"],
+        ["duality", "--k", "1", "--m", "2"],
+        ["crosscheck", "--which", "restriction", "--k", "1", "--n", "2"],
+        ["crosscheck", "--which", "product", "--j", "1", "--k", "2", "--n", "3", "--format", "json"],
+        ["enumerate", "--family", "half", "--n", "2", "--nw", "0101", "--format", "json"],
+        ["enumerate", "--family", "triangle", "--n", "3", "--nw", "011", "--ne", "101",
+         "--verbose-labels"],
+        ["enumerate", "--family", "triangle", "--n", "2", "--south", "02"],
+        ["verify-identities"],
+        ["verify-identities", "--format", "json"],
+    ]
+    return corpus
+
+
+def test_cli_corpus_digest(capsys):
+    # one SHA-256 over (argv, exit code, stdout, stderr) of a fixed corpus:
+    # a change that removes code must leave every byte of it alone
+    corpus = _digest_corpus()
+    assert len(corpus) == 555
+    digest = hashlib.sha256()
+    for argv in corpus:
+        digest.update(json.dumps([argv, *run(capsys, *argv)]).encode())
+    assert digest.hexdigest() == "f20b152c1d45bb763617dba8948b77c9709c579fe0adeb4a43f9812040c2159c"

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from schubpuzzles.diagram import build_half_diagram, transfer
 from schubpuzzles.labels import (
     LABELS,
     Fl,
@@ -11,7 +12,6 @@ from schubpuzzles.labels import (
     LabelString,
     SpGr,
     project_flag_string,
-    spgr_strings,
     strings_with_content,
 )
 
@@ -19,7 +19,10 @@ parse = LabelString.parse
 
 
 def test_parse_compact_and_tokens():
-    assert parse("021").labels == (Label.ZERO, Label.TEN, Label.ONE)
+    # a string is its label tuple: it equals and hashes as that tuple
+    labels = (Label.ZERO, Label.TEN, Label.ONE)
+    assert parse("021") == labels and hash(parse("021")) == hash(labels)
+    assert {labels: "x"}[parse("021")] == "x"
     assert parse("0,10,1") == parse("021")
     assert parse("") == LabelString()
 
@@ -34,11 +37,27 @@ def test_parse_errors():
 def test_constructor_converts_and_validates():
     s = LabelString([0, Label.TEN, 2])
     assert s == parse("021")
-    assert all(x.__class__ is Label for x in s.labels)
+    assert all(x.__class__ is Label for x in s)
     with pytest.raises(ValueError):
         LabelString([Label.ZERO, None])
     with pytest.raises(ValueError):
         LabelString([3])
+
+
+def test_concatenation_and_slices_are_plain_tuples():
+    s = parse("0211")
+    for part, labels in ((s + s, "02110211"), (s[1:3], "21"), (s[::-1], "1120")):
+        assert type(part) is tuple
+        assert part == parse(labels) and hash(part) == hash(parse(labels))
+    assert s[1] is Label.TEN and s.count(Label.ONE) == 2 and len(s) == 4
+
+
+def test_a_transfer_column_is_read_by_string_or_tuple():
+    column = transfer(build_half_diagram(2), parse("0101"), reverse=True)
+    assert column
+    for nu in SpGr(2, 2).strings():
+        assert column.get(nu) == column.get(tuple(nu))
+        assert (nu in column) == (tuple(nu) in column)
 
 
 def test_round_trip():
@@ -82,6 +101,13 @@ def test_omega_strings():
     assert Gr(2, 4).omega() == parse("0011")
     assert SpGr(1, 3).omega() == parse("022")
     assert Fl(1, 2, 3).omega() == parse("021")
+    for m in range(5):
+        spaces = [Gr(k, m) for k in range(m + 1)] + [SpGr(k, m) for k in range(m + 1)]
+        spaces += [Fl(j, k, m) for k in range(m + 1) for j in range(k + 1)]
+        for space in spaces:
+            omega = space.omega()
+            assert omega == space.strings()[0] and omega in space, space
+            assert len(omega) == space.rank == m
 
 
 def test_double_omega_spgr_is_omega_gr():
@@ -99,13 +125,13 @@ def test_project_flag_string():
 
 
 def test_enumerate_spgr_pattern():
-    assert [s.compact() for s in spgr_strings(2, 2)] == ["00", "01", "10", "11"]
-    assert len(spgr_strings(2, 3)) == 12
+    assert [s.compact() for s in SpGr(2, 2).strings()] == ["00", "01", "10", "11"]
+    assert len(SpGr(2, 3).strings()) == 12
     for n in range(0, 6):
         for k in range(0, n + 1):
             import math
 
-            assert len(spgr_strings(k, n)) == math.comb(n, k) * 2**k
+            assert len(SpGr(k, n).strings()) == math.comb(n, k) * 2**k
 
 
 def test_enumerate_content():
@@ -129,7 +155,7 @@ def test_generated_strings_match_brute_force_filter():
                 assert strings_with_content(length, content) == expected
         for k in range(length + 1):
             expected = [LabelString(w) for w in words if w.count(Label.TEN) == length - k]
-            assert spgr_strings(k, length) == expected
+            assert SpGr(k, length).strings() == expected
 
 
 def test_lex_order_alphabet():
@@ -148,6 +174,10 @@ def test_space_validation():
         SpGr(4, 3)
     with pytest.raises(ValueError, match=re.escape("need 0 <= j <= k <= m, got Fl(2,1,3)")):
         Fl(2, 1, 3)
+    # a wrong number of sizes is a wrong call, as for any function
+    for space, sizes in ((Gr, (1,)), (SpGr, (1, 2, 3)), (Fl, (1, 2)), (Gr, ())):
+        with pytest.raises(TypeError):
+            space(*sizes)
 
 
 def test_spaces_are_distinct_immutable_values():

@@ -94,6 +94,16 @@ def test_equality_and_zero():
     assert Polynomial.integer(0).is_zero
 
 
+def test_a_constant_hashes_as_its_int():
+    # a == b must imply hash(a) == hash(b), so a constant polynomial and the
+    # int it equals are one set element and one dict key
+    for n in (0, 1, -1, 2**70 + 3):
+        p = Polynomial.integer(n)
+        assert p == n and hash(p) == hash(n)
+        assert n in {p} and p in {n}
+    assert 0 in {Polynomial.zero()} and 0 in {y(1) - y(1)}
+
+
 def test_ring_axioms_random():
     rng = random.Random(20240817)
     for _ in range(40):

@@ -342,7 +342,7 @@ def test_product_coefficient_at_mu_is_the_restriction_to_mu():
                 column = restrictions_at(space, mu)
                 for lam in space.strings():
                     coefficient = two_step_product(lam, mu, n).terms.get(mu, zero)
-                    assert coefficient == column.get(lam.labels, zero), (lam.compact(), mu.compact())
+                    assert coefficient == column.get(lam, zero), (lam.compact(), mu.compact())
                     pairs += 1
                     nonzero += not coefficient.is_zero
     assert pairs == 2 + 6 + 20 + 70 + 252 + 924

@@ -91,7 +91,6 @@ def test_one_contraction_kernel():
 # it stays.  The `if __name__ == "__main__":` block of a module is a way in
 # from outside, so it references nothing.
 ENTRY_POINTS = {
-    "constant_value": "perfbench/tracing.py calls it on every traced multiplication",
     "main": "the console script, schubpuzzles = schubpuzzles.cli:main",
 }
 

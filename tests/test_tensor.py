@@ -403,7 +403,7 @@ def test_diagrams_build_and_transfer_without_regrouping(monkeypatch):
             weyl.restrictions_at(space, mu)
     half = build_half_diagram(3)
     for lam in Gr(3, 6).strings():
-        assert transfer(half, lam.labels, reverse=True)
+        assert transfer(half, lam, reverse=True)
     assert transfer(half, (Z, O, T))
     assert calls == []
     SparseMap(1, 1, {((Z,), (Z,)): 1}).by_input()  # the counter does see a regrouping

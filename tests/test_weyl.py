@@ -548,7 +548,7 @@ def test_parabolic_table_equals_full_table_on_coset_representatives():
         for mu in space.strings():
             full = full_subword_table(lift_of(mu, space))
             expected = {
-                coset_string(w, omega).labels: value for w, value in full.items()
+                coset_string(w, omega): value for w, value in full.items()
                 if not any(w.is_right_descent(i) for i in parabolic)
             }
             args = (_word(mu, omega, group_type), omega, group_type)
@@ -572,7 +572,7 @@ def test_parabolic_generators_read_off_omega():
         identity = GroupElement.identity(group_type, space.rank)
         dropped = tuple(
             q for q in identity.generator_indices()
-            if weyl._subword_column((q,), omega, group_type) == {omega.labels: 1}
+            if weyl._subword_column((q,), omega, group_type) == {omega: 1}
         )
         assert dropped == parabolic_generators(space), str(space)
     assert len(spaces) == 27 + 27 + 83
@@ -606,7 +606,7 @@ def test_backend_disagreement_raises(monkeypatch):
     # that entry, even when a different class is asked for
     space = Gr(2, 4)
     mu = parse("1100")
-    perturbed_state = parse("0101").labels
+    perturbed_state = parse("0101")
     real_column = weyl._subword_column
 
     def perturbed_column(word, omega, group_type, weights=None):
@@ -637,7 +637,7 @@ def _column_mismatch_raises(monkeypatch, module, name, change, mu: str, match: s
 
 def test_column_comparison_catches_a_dropped_subword_class(monkeypatch):
     _column_mismatch_raises(
-        monkeypatch, weyl, "_subword_column", lambda table: table.pop(parse("0101").labels),
+        monkeypatch, weyl, "_subword_column", lambda table: table.pop(parse("0101")),
         "1100", r"disagreement for 0101\|1100 on Gr\(2,4\): subword 0 vs wiring",
     )
 
@@ -646,7 +646,7 @@ def test_column_comparison_catches_an_extra_wiring_entry(monkeypatch):
     # 1100 is not below 0101, so both backends give 0 there
     assert restriction(parse("1100"), parse("0101"), Gr(2, 4)) == 0
     _column_mismatch_raises(
-        monkeypatch, diagram, "transfer", lambda column: column.update({parse("1100").labels: y(1)}),
+        monkeypatch, diagram, "transfer", lambda column: column.update({parse("1100"): y(1)}),
         "0101", r"disagreement for 1100\|0101 on Gr\(2,4\): subword 0 vs wiring y1",
     )
 
@@ -663,8 +663,8 @@ def test_restriction_in_half_torus_equals_specialized_restriction():
                 direct = weyl.restrictions_at(space, mu, weights)
                 ambient = weyl.restrictions_at(space, mu)
                 for lam in space.strings():
-                    expected = specialize_to_half_torus(ambient.get(lam.labels, Polynomial.zero()), n)
-                    assert direct.get(lam.labels, Polynomial.zero()) == expected
+                    expected = specialize_to_half_torus(ambient.get(lam, Polynomial.zero()), n)
+                    assert direct.get(lam, Polynomial.zero()) == expected
 
 
 def test_restriction_rejects_lambda_outside_the_space():
