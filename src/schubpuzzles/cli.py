@@ -110,18 +110,19 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _sizes(args, names, what: str) -> list[int]:
+    """The values of the size options `names`; an error names them all when
+    any is missing."""
+    sizes = [getattr(args, name) for name in names]
+    if None in sizes:
+        flags = [f"--{name}" for name in names]
+        raise ValueError(f"{what} needs {', '.join(flags[:-1])} and {flags[-1]}")
+    return sizes
+
+
 def _make_space(args):
-    if args.space == "gr":
-        if args.k is None or args.m is None:
-            raise ValueError("space gr needs --k and --m")
-        return Gr(args.k, args.m)
-    if args.space == "spgr":
-        if args.k is None or args.n is None:
-            raise ValueError("space spgr needs --k and --n")
-        return SpGr(args.k, args.n)
-    if args.j is None or args.k is None or args.m is None:
-        raise ValueError("space fl needs --j, --k and --m")
-    return Fl(args.j, args.k, args.m)
+    space = {"gr": Gr, "spgr": SpGr, "fl": Fl}[args.space]
+    return space(*_sizes(args, space.__slots__, f"space {args.space}"))
 
 
 def _cmd_restriction_at_point(args) -> int:
@@ -176,13 +177,9 @@ def _emit_report(report, args) -> int:
 
 def _cmd_crosscheck(args) -> int:
     if args.which == "restriction":
-        if args.k is None or args.n is None:
-            raise ValueError("crosscheck restriction needs --k and --n")
-        report = schubert.crosscheck_restriction(args.k, args.n)
+        report = schubert.crosscheck_restriction(*_sizes(args, "kn", "crosscheck restriction"))
     else:
-        if args.j is None or args.k is None or args.n is None:
-            raise ValueError("crosscheck product needs --j, --k and --n")
-        report = schubert.crosscheck_product(args.j, args.k, args.n)
+        report = schubert.crosscheck_product(*_sizes(args, "jkn", "crosscheck product"))
     return _emit_report(report, args)
 
 

@@ -1,32 +1,33 @@
 """Scattering diagrams: the dual-graph form of puzzles.
 
-A diagram is a planar acyclic network of coloured strands built bottom-up
-on a "frontier" of live edges: blue input stubs enter from the south,
-trivalent vertices split each blue strand into a green one (exiting
-northwest) and a red one (exiting northeast or bouncing off the east
-wall), and crossings carry R-matrices whose argument is the difference of
-the two lower spectral parameters.  Evaluating the diagram contracts the
-vertex matrices from whichever boundary is pinned: forward in construction
-order from the south (input) boundary, or in reverse from the north
-(output) boundary, so one pass yields every entry with that boundary.  The
-same pass counts the labelings behind each entry.  Enumerating the
-labelings lists the puzzles themselves, each with its fugacity (the
-product of the chosen matrix entries).
+A diagram is a planar acyclic network of coloured strands.  `_grow` builds
+every one bottom-up from a row of input strands and a list of moves on the
+"frontier" of live edges: a split turns a blue strand into a green one
+(exiting northwest) and a red one, a crossing swaps two neighbouring
+strands under an R-matrix whose argument is the difference of their
+spectral parameters, and a bounce turns a strand off the east wall.
+Evaluating the diagram contracts the vertex matrices from whichever
+boundary is pinned: forward in construction order from the south (input)
+boundary, or in reverse from the north (output) boundary, so one pass
+yields every entry with that boundary.  The same pass counts the labelings
+behind each entry.  Enumerating the labelings lists the puzzles
+themselves, each with its fugacity (the product of the chosen matrix
+entries).
 
-Three families are built here:
+Each family is an input row plus a move list:
 
 * the full triangle of size n -- products of two Schubert classes pulled
   back to a two-step flag manifold (equivariant puzzle rule);
 * the half triangle of size 2n -- restriction from Gr(k,2n) to the
-  symplectic Grassmannian, one red bounce per strand at the east wall;
+  symplectic Grassmannian: the triangle's moves, then one red bounce per
+  strand at the east wall;
 * wiring diagrams of reduced words -- fixed-point restrictions, with a
   same-colour crossing per simple transposition and a blue bounce for the
-  sign generator.
-
-Next to them, the identity diagrams: the two sides of each diagram move
-(Yang-Baxter, trivalent swap, reflection, K-fusion) that the puzzle rules
-rest on, grown as two move sequences on one row of input strands.  An
-identity holds when both sides have the same boundary map.
+  sign generator;
+* the identity diagrams, one more table of rows and moves: the two sides
+  of each diagram move (Yang-Baxter, trivalent swap, reflection, K-fusion)
+  that the puzzle rules rest on.  An identity holds when both sides have
+  the same boundary map.
 """
 
 from __future__ import annotations
@@ -81,114 +82,72 @@ class ScatteringDiagram(Record):
         return [self.edges[e].parameter for e in self.output_edges]
 
 
-class _Builder:
-    """Grows a diagram upward, one vertex at a time, on a frontier of edges."""
+def _grow(name: str, inputs, moves) -> ScatteringDiagram:
+    """The diagram grown upward from a row of input strands by a list of moves.
 
-    def __init__(self, name: str):
-        self.name = name
-        self.edges: list[Edge] = []
-        self.vertices: list[Vertex] = []
-        self.frontier: list[int] = []
-        self.inputs: list[int] = []
-
-    def _new_edge(self, colour: str, parameter: Polynomial) -> int:
-        ident = len(self.edges)
-        self.edges.append(Edge(ident, colour, parameter))
-        return ident
-
-    def _add_vertex(self, kind, matrix, parameter, in_edges, out_edges, pos) -> None:
+    `inputs` gives each input strand, west to east, as (colour, parameter);
+    `moves` gives each vertex, bottom to top, as (kind, frontier position):
+    a "split" turns the blue strand there into a green and a red one, a
+    "cross" swaps it with the strand to its east, the west one exiting
+    east, and a "bounce" turns it off the east wall, negating its parameter."""
+    edges = [Edge(ident, colour, parameter) for ident, (colour, parameter) in enumerate(inputs)]
+    vertices: list[Vertex] = []
+    frontier = list(range(len(edges)))
+    for kind, pos in moves:
+        e_in = edges[frontier[pos]]
+        new = len(edges)
+        if kind == "split":
+            if e_in.colour != "B":
+                raise ValueError("only blue strands split")
+            vertex_kind, matrix, parameter = "trivalent", U_SPLIT, None
+            in_edges, out_edges = (e_in.ident,), (new, new + 1)
+            edges += Edge(new, "G", e_in.parameter), Edge(new + 1, "R", e_in.parameter)
+            frontier[pos : pos + 1] = out_edges
+        elif kind == "cross":
+            right = edges[frontier[pos + 1]]
+            argument = e_in.parameter - right.parameter
+            if e_in.colour == right.colour:
+                matrix, parameter = R_SAME_COLOUR, -argument
+            elif (e_in.colour, right.colour) == ("R", "G"):
+                matrix, parameter = R_RED_GREEN, argument
+            else:
+                raise ValueError(f"unsupported crossing colours {e_in.colour}{right.colour}")
+            vertex_kind, in_edges, out_edges = "crossing", (e_in.ident, right.ident), (new, new + 1)
+            edges += Edge(new, right.colour, right.parameter), Edge(new + 1, e_in.colour, e_in.parameter)
+            frontier[pos : pos + 2] = out_edges
+        elif kind == "bounce":
+            if e_in.colour == "R":
+                matrix, parameter, out_colour = K_RED, None, "G"
+            elif e_in.colour == "B":
+                matrix, parameter, out_colour = K_BLUE, Polynomial.integer(-2) * e_in.parameter, "B"
+            else:
+                raise ValueError("only red and blue strands bounce")
+            vertex_kind, in_edges, out_edges = "bounce", (e_in.ident,), (new,)
+            edges.append(Edge(new, out_colour, -e_in.parameter))
+            frontier[pos] = new
+        else:
+            raise ValueError(f"unknown move {kind!r}")
         if parameter is not None and parameter.is_zero:
             matrix = at(matrix, parameter)
-        self.vertices.append(Vertex(kind, matrix, parameter, in_edges, out_edges, pos))
-
-    def add_input(self, colour: str, parameter: Polynomial) -> int:
-        e = self._new_edge(colour, parameter)
-        self.frontier.append(e)
-        self.inputs.append(e)
-        return e
-
-    def split(self, pos: int) -> tuple[int, int]:
-        """Trivalent vertex at frontier position pos: blue -> green, red."""
-        e_in = self.edges[self.frontier[pos]]
-        if e_in.colour != "B":
-            raise ValueError("only blue strands split")
-        green = self._new_edge("G", e_in.parameter)
-        red = self._new_edge("R", e_in.parameter)
-        self._add_vertex("trivalent", U_SPLIT, None, (e_in.ident,), (green, red), pos)
-        self.frontier[pos : pos + 1] = [green, red]
-        return green, red
-
-    def cross(self, pos: int) -> tuple[int, int]:
-        """Crossing of frontier positions pos, pos+1; left strand exits right."""
-        left = self.edges[self.frontier[pos]]
-        right = self.edges[self.frontier[pos + 1]]
-        argument = left.parameter - right.parameter
-        if left.colour == right.colour:
-            matrix, parameter = R_SAME_COLOUR, -argument
-        elif (left.colour, right.colour) == ("R", "G"):
-            matrix, parameter = R_RED_GREEN, argument
-        else:
-            raise ValueError(f"unsupported crossing colours {left.colour}{right.colour}")
-        new_left = self._new_edge(right.colour, right.parameter)
-        new_right = self._new_edge(left.colour, left.parameter)
-        self._add_vertex("crossing", matrix, parameter,
-                         (left.ident, right.ident), (new_left, new_right), pos)
-        self.frontier[pos : pos + 2] = [new_left, new_right]
-        return new_left, new_right
-
-    def bounce(self, pos: int) -> int:
-        """Wall bounce at frontier position pos; negates the parameter."""
-        e_in = self.edges[self.frontier[pos]]
-        if e_in.colour == "R":
-            matrix, parameter, out_colour = K_RED, None, "G"
-        elif e_in.colour == "B":
-            matrix, parameter, out_colour = K_BLUE, Polynomial.integer(-2) * e_in.parameter, "B"
-        else:
-            raise ValueError("only red and blue strands bounce")
-        out = self._new_edge(out_colour, -e_in.parameter)
-        self._add_vertex("bounce", matrix, parameter, (e_in.ident,), (out,), pos)
-        self.frontier[pos] = out
-        return out
-
-    def position_of(self, edge: int) -> int:
-        return self.frontier.index(edge)
-
-    def finish(self) -> ScatteringDiagram:
-        return ScatteringDiagram(
-            self.name,
-            self.edges,
-            self.vertices,
-            tuple(self.inputs),
-            tuple(self.frontier),
-            {},
-        )
+        vertices.append(Vertex(vertex_kind, matrix, parameter, in_edges, out_edges, pos))
+    return ScatteringDiagram(name, edges, vertices, tuple(range(len(inputs))), tuple(frontier), {})
 
 
-def _require(ok: bool, what: str) -> None:
-    """Raise if a builder broke one of its own layout invariants."""
-    if not ok:
-        raise RuntimeError(f"diagram construction: {what}")
+def _checked(diagram: ScatteringDiagram, row: list) -> ScatteringDiagram:
+    """The diagram, once its output strands carry the (colour, parameter)
+    row that its family promises."""
+    if [diagram.edges[e][1:] for e in diagram.output_edges] != row:
+        raise RuntimeError(f"diagram construction: {diagram.name} has the wrong output row")
+    return diagram
 
 
-def _triangle_builder(name: str, n: int):
-    """n blue inputs y_1..y_n, a trivalent split on each, and a red-green
-    crossing R_RG(y_i - y_j) for every pair i < j; returns the builder and
-    the green and red edge of each strand."""
-    b = _Builder(name)
-    for i in range(1, n + 1):
-        b.add_input("B", y(i))
-    greens: dict[int, int] = {}
-    reds: dict[int, int] = {}
-    for i in range(1, n + 1):
-        greens[i], reds[i] = b.split(2 * (i - 1))
-    # red i must pass green j for every i < j; sweep by height j - i
-    for h in range(1, n):
-        for i in range(1, n - h + 1):
-            j = i + h
-            pos = b.position_of(reds[i])
-            _require(b.frontier[pos + 1] == greens[j], f"red {i} does not meet green {j}")
-            greens[j], reds[i] = b.cross(pos)
-    return b, greens, reds
+def _triangle_moves(n: int) -> list[tuple[str, int]]:
+    """Split every blue strand, then cross red i over green j = i + h for
+    every i < j, by height h: red i then has i + h - 1 greens and i - 1
+    reds to its west."""
+    return [("split", 2 * (i - 1)) for i in range(1, n + 1)] + [
+        ("cross", 2 * i + h - 2) for h in range(1, n) for i in range(1, n - h + 1)
+    ]
 
 
 def build_triangle_diagram(n: int) -> ScatteringDiagram:
@@ -200,37 +159,28 @@ def build_triangle_diagram(n: int) -> ScatteringDiagram:
     bottom)."""
     if n < 1:
         raise ValueError("triangle size must be at least 1")
-    b, greens, reds = _triangle_builder(f"triangle({n})", n)
-    diagram = b.finish()
-    expected = [greens[j] for j in range(1, n + 1)] + [reds[i] for i in range(1, n + 1)]
-    _require(list(diagram.output_edges) == expected, "triangle outputs out of order")
-    return diagram
+    ys = [y(i) for i in range(1, n + 1)]
+    diagram = _grow(f"triangle({n})", [("B", p) for p in ys], _triangle_moves(n))
+    return _checked(diagram, [("G", p) for p in ys] + [("R", p) for p in ys])
 
 
 def build_half_diagram(n: int) -> ScatteringDiagram:
     """Left half of a size-2n self-dual triangle.
 
     Same as the triangle up to the east wall: red strand i crosses the
-    direct greens j > i with argument y_i - y_j, bounces into a green with
-    parameter -y_i, and on the way out is crossed by every red j < i with
-    argument y_j + y_i.  The 2n output greens carry, bottom to top, the
-    parameters y_1, .., y_n, -y_n, .., -y_1."""
+    direct greens j > i with argument y_i - y_j, bounces off the last
+    frontier position into a green with parameter -y_i, and on the way out
+    is crossed by every red t < i with argument y_t + y_i.  The 2n output
+    greens carry, bottom to top, the parameters y_1, .., y_n, -y_n, .., -y_1."""
     if n < 1:
         raise ValueError("half-diagram size must be at least 1")
-    b, greens, reds = _triangle_builder(f"half({n})", n)
-    bounced: dict[int, int] = {}
+    ys = [y(i) for i in range(1, n + 1)]
+    moves = _triangle_moves(n)
     for i in range(n, 0, -1):
-        pos = b.position_of(reds[i])
-        _require(pos == len(b.frontier) - 1, f"red {i} does not reach the wall")
-        bounced[i] = b.bounce(pos)
-        for t in range(i - 1, 0, -1):
-            pos = b.position_of(bounced[i])
-            _require(b.frontier[pos - 1] == reds[t], f"bounced {i} does not meet red {t}")
-            bounced[i], reds[t] = b.cross(pos - 1)
-    diagram = b.finish()
-    expected = [greens[j] for j in range(1, n + 1)] + [bounced[i] for i in range(n, 0, -1)]
-    _require(list(diagram.output_edges) == expected, "half-diagram outputs out of order")
-    return diagram
+        moves.append(("bounce", 2 * n - 1))
+        moves.extend(("cross", pos) for pos in range(2 * n - 2, 2 * n - i - 1, -1))
+    diagram = _grow(f"half({n})", [("B", p) for p in ys], moves)
+    return _checked(diagram, [("G", p) for p in ys] + [("G", -p) for p in reversed(ys)])
 
 
 def build_wiring_diagram(word, group_type: str, m: int, weights=None) -> ScatteringDiagram:
@@ -259,25 +209,20 @@ def build_wiring_diagram(word, group_type: str, m: int, weights=None) -> Scatter
             raise ValueError(f"type C generator index {q} out of range 1..{m}")
 
     params: list[Polynomial] = list(weights)
+    moves = []
     for q in word:  # top to bottom
         if group_type == "C" and q == m:
             params[m - 1] = -params[m - 1]
+            moves.append(("bounce", m - 1))
         else:
             params[q - 1], params[q] = params[q], params[q - 1]
+            moves.append(("cross", q - 1))
+    moves.reverse()  # the diagram grows bottom to top
 
     colour = "G" if group_type == "A" else "B"
-    b = _Builder(f"wiring({group_type},{m},{'.'.join(map(str, word))}{suffix})")
-    for p in params:
-        b.add_input(colour, p)
-    for q in reversed(word):  # bottom to top
-        if group_type == "C" and q == m:
-            b.bounce(m - 1)
-        else:
-            b.cross(q - 1)
-    diagram = b.finish()
-    _require(diagram.output_parameters() == list(weights),
-             "wiring outputs do not carry the strand weights")
-    return diagram
+    name = f"wiring({group_type},{m},{'.'.join(map(str, word))}{suffix})"
+    diagram = _grow(name, [(colour, p) for p in params], moves)
+    return _checked(diagram, [(colour, w) for w in weights])
 
 
 # -- evaluation ----------------------------------------------------------
@@ -434,7 +379,7 @@ _YANG_BAXTER = ("cross 0, cross 1, cross 0", "cross 1, cross 0, cross 1")
 _REFLECTION = ("cross 0, bounce 1, cross 0, bounce 1", "bounce 1, cross 0, bounce 1, cross 0")
 
 # identity name -> input colours, input parameters (+-i stands for +-u_i),
-# and the builder moves of the left and right side, bottom to top
+# and the moves of the left and right side, bottom to top
 _IDENTITIES = {
     "yb-rrg": ("RRG", (3, 2, 1), *_YANG_BAXTER),
     "yb-ggr": ("RGG", (3, 2, 1), *_YANG_BAXTER),
@@ -456,16 +401,9 @@ def _identity_sides(which: str) -> tuple[ScatteringDiagram, ScatteringDiagram]:
     if which not in _IDENTITIES:
         raise ValueError(f"unknown identity {which!r}")
     colours, params, *sides = _IDENTITIES[which]
-    diagrams = []
-    for moves in sides:
-        b = _Builder(f"{which}: {moves}")
-        for colour, i in zip(colours, params):
-            b.add_input(colour, u(i) if i > 0 else -u(-i))
-        for move in moves.split(", "):
-            kind, pos = move.split()
-            getattr(b, kind)(int(pos))
-        diagrams.append(b.finish())
-    return tuple(diagrams)
+    inputs = [(colour, u(i) if i > 0 else -u(-i)) for colour, i in zip(colours, params)]
+    parsed = ([(kind, int(pos)) for kind, pos in map(str.split, side.split(", "))] for side in sides)
+    return tuple(_grow(f"{which}: {side}", inputs, moves) for side, moves in zip(sides, parsed))
 
 
 def verify_identity(which: str) -> bool:

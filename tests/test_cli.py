@@ -138,8 +138,18 @@ def test_validation_errors_exit_1(capsys):
         "--lambda", "11", "--mu", "01",
     )
     assert code == 1 and "does not index" in err
-    code, _, err = run(capsys, "crosscheck", "--which", "restriction", "--k", "1")
-    assert code == 1
+    # a missing size names every size the space or sweep needs
+    pair = ("--lambda", "01", "--mu", "01")
+    for argv, message in (
+        (("crosscheck", "--which", "restriction", "--k", "1"), "crosscheck restriction needs --k and --n"),
+        (("crosscheck", "--which", "product", "--j", "1", "--n", "2"),
+         "crosscheck product needs --j, --k and --n"),
+        (("restriction-at-point", "--space", "gr", "--k", "1", *pair), "space gr needs --k and --m"),
+        (("restriction-at-point", "--space", "spgr", "--n", "1", *pair), "space spgr needs --k and --n"),
+        (("restriction-at-point", "--space", "fl", "--k", "1", "--m", "2", *pair),
+         "space fl needs --j, --k and --m"),
+    ):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
     # sizes are checked before contents
     for argv, message in (
         (("restrict", "--lambda", "0011", "--k", "2", "--n", "0"), "need 0 <= k <= n, got SpGr(2,0)"),

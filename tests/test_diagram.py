@@ -1,9 +1,12 @@
+import collections
 import itertools
 
 import pytest
 
+from schubpuzzles import diagram as diagram_module
 from schubpuzzles.diagram import (
     ScatteringDiagram,
+    _grow,
     as_sparse_map,
     build_half_diagram,
     build_triangle_diagram,
@@ -55,6 +58,54 @@ def test_half_shape():
     assert params == ["y1", "y2", "y3", "y4", "-y4", "-y3", "-y2", "-y1"]
     with pytest.raises(ValueError):
         build_half_diagram(0)
+
+
+def _strand(diagram, edge):
+    return diagram.edges[edge].colour, diagram.edges[edge].parameter
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_triangle_and_half_layout(n):
+    # red y_i meets green y_j once for every i < j; in the half diagram each
+    # red then bounces once off the last frontier position, and the bounced
+    # -y_i meets red y_t once for every t < i; no other strands cross
+    ys = [y(i) for i in range(1, n + 1)]
+    pairs = [(("R", ys[i]), ("G", ys[j])) for i, j in itertools.combinations(range(n), 2)]
+    for d, half in ((build_triangle_diagram(n), False), (build_half_diagram(n), True)):
+        crossings, bounces, width = collections.Counter(), collections.Counter(), d.n_inputs
+        for v in d.vertices:
+            width += v.kind == "trivalent"
+            strands = tuple(_strand(d, e) for e in v.in_edges)
+            if v.kind == "crossing":
+                crossings[strands] += 1
+            elif v.kind == "bounce":
+                bounces[strands, v.position == width - 1] += 1
+        expected = collections.Counter(pairs)
+        if half:
+            expected.update((("R", ys[t]), ("G", -ys[i])) for t, i in itertools.combinations(range(n), 2))
+        assert crossings == expected, d.name
+        assert bounces == collections.Counter({((("R", p),), True): 1 for p in ys} if half else {}), d.name
+
+
+def test_grow_rejects_impossible_moves():
+    row = [("G", y(1)), ("R", y(2))]
+    with pytest.raises(ValueError, match="^only blue strands split$"):
+        _grow("green split", row, [("split", 0)])
+    with pytest.raises(ValueError, match="^unsupported crossing colours GR$"):
+        _grow("green-red crossing", row, [("cross", 0)])
+    with pytest.raises(ValueError, match="^only red and blue strands bounce$"):
+        _grow("green bounce", row, [("bounce", 0)])
+    with pytest.raises(ValueError, match="^unknown move 'twist'$"):
+        _grow("twist", row, [("twist", 0)])
+
+
+def test_triangle_output_row_is_checked(monkeypatch):
+    # a triangle missing its last crossing still grows, with red 1 left of
+    # green 3 in its output row
+    moves = diagram_module._triangle_moves
+    monkeypatch.setattr(diagram_module, "_triangle_moves", lambda n: moves(n)[:-1])
+    with pytest.raises(RuntimeError, match="triangle[(]3[)] has the wrong output row"):
+        build_triangle_diagram(3)
 
 
 def test_wiring_worked_example():

@@ -87,6 +87,29 @@ def test_one_contraction_kernel():
     assert not defined, defined
 
 
+def _calls(node, function=None):
+    """(callee name, enclosing function name) for every call under node."""
+    if isinstance(node, ast.FunctionDef):
+        function = node.name
+    if isinstance(node, ast.Call):
+        callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        yield callee, function
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, function)
+
+
+def test_one_diagram_builder():
+    # every diagram is an input row plus a move list grown by `_grow`, so
+    # nothing else in the package makes an edge, a vertex or a diagram
+    made = {
+        (path.name, callee, function)
+        for path, tree in _package_trees()
+        for callee, function in _calls(tree)
+        if callee in ("Edge", "Vertex", "ScatteringDiagram")
+    }
+    assert made == {("diagram.py", name, "_grow") for name in ("Edge", "Vertex", "ScatteringDiagram")}
+
+
 # Public names that no code in the package references, each with the reason
 # it stays.  The `if __name__ == "__main__":` block of a module is a way in
 # from outside, so it references nothing.
