@@ -93,8 +93,8 @@ def _cmd_enumerate(args) -> int:
         payload = [
             {
                 "edges": [
-                    [e.ident, e.colour, str(e.parameter), lab.edge_labels[e.ident].compact]
-                    for e in diagram.edges
+                    [ident, e.colour, str(e.parameter), lab.edge_labels[ident].compact]
+                    for ident, e in enumerate(diagram.edges)
                 ],
                 "fugacity": lab.fugacity.machine(),
             }

@@ -43,7 +43,8 @@ from .tensor import (
 
 
 class Edge(NamedTuple):
-    ident: int
+    # An edge's ident is its position in its diagram's `edges`, which number
+    # the edges in construction order, the inputs first.
     colour: str  # "G", "R" or "B"
     parameter: Polynomial
 
@@ -61,18 +62,16 @@ class Vertex(NamedTuple):
 
 
 class ScatteringDiagram(Record):
-    # edges: list[Edge]; vertices: list[Vertex], in topological order (the
-    # inputs of each vertex exist before it); input_edges, output_edges:
-    # tuples of edge idents; _transfer_cache: (reverse, boundary) -> Column
-    __slots__ = ("name", "edges", "vertices", "input_edges", "output_edges", "_transfer_cache")
+    # edges: list[Edge] in construction order, an edge's ident being its
+    # position: the n_inputs input edges first, then each vertex's out_edges
+    # in turn; vertices: list[Vertex], in topological order (the inputs of
+    # each vertex exist before it); output_edges: tuple of edge idents;
+    # _transfer_cache: (reverse, boundary) -> Column
+    __slots__ = ("name", "edges", "vertices", "n_inputs", "output_edges", "_transfer_cache")
 
     # equal to itself only: the transfer cache is a field that fills with use
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    @property
-    def n_inputs(self) -> int:
-        return len(self.input_edges)
 
     @property
     def n_outputs(self) -> int:
@@ -90,21 +89,19 @@ def _grow(name: str, inputs, moves) -> ScatteringDiagram:
     a "split" turns the blue strand there into a green and a red one, a
     "cross" swaps it with the strand to its east, the west one exiting
     east, and a "bounce" turns it off the east wall, negating its parameter."""
-    edges = [Edge(ident, colour, parameter) for ident, (colour, parameter) in enumerate(inputs)]
+    edges = [Edge(colour, parameter) for colour, parameter in inputs]
     vertices: list[Vertex] = []
     frontier = list(range(len(edges)))
     for kind, pos in moves:
-        e_in = edges[frontier[pos]]
-        new = len(edges)
+        in_edges = tuple(frontier[pos : pos + (2 if kind == "cross" else 1)])
+        e_in = edges[in_edges[0]]
         if kind == "split":
             if e_in.colour != "B":
                 raise ValueError("only blue strands split")
             vertex_kind, matrix, parameter = "trivalent", U_SPLIT, None
-            in_edges, out_edges = (e_in.ident,), (new, new + 1)
-            edges += Edge(new, "G", e_in.parameter), Edge(new + 1, "R", e_in.parameter)
-            frontier[pos : pos + 1] = out_edges
+            out = Edge("G", e_in.parameter), Edge("R", e_in.parameter)
         elif kind == "cross":
-            right = edges[frontier[pos + 1]]
+            right = edges[in_edges[1]]
             argument = e_in.parameter - right.parameter
             if e_in.colour == right.colour:
                 matrix, parameter = R_SAME_COLOUR, -argument
@@ -112,9 +109,7 @@ def _grow(name: str, inputs, moves) -> ScatteringDiagram:
                 matrix, parameter = R_RED_GREEN, argument
             else:
                 raise ValueError(f"unsupported crossing colours {e_in.colour}{right.colour}")
-            vertex_kind, in_edges, out_edges = "crossing", (e_in.ident, right.ident), (new, new + 1)
-            edges += Edge(new, right.colour, right.parameter), Edge(new + 1, e_in.colour, e_in.parameter)
-            frontier[pos : pos + 2] = out_edges
+            vertex_kind, out = "crossing", (right, e_in)
         elif kind == "bounce":
             if e_in.colour == "R":
                 matrix, parameter, out_colour = K_RED, None, "G"
@@ -122,21 +117,22 @@ def _grow(name: str, inputs, moves) -> ScatteringDiagram:
                 matrix, parameter, out_colour = K_BLUE, Polynomial.integer(-2) * e_in.parameter, "B"
             else:
                 raise ValueError("only red and blue strands bounce")
-            vertex_kind, in_edges, out_edges = "bounce", (e_in.ident,), (new,)
-            edges.append(Edge(new, out_colour, -e_in.parameter))
-            frontier[pos] = new
+            vertex_kind, out = "bounce", (Edge(out_colour, -e_in.parameter),)
         else:
             raise ValueError(f"unknown move {kind!r}")
         if parameter is not None and parameter.is_zero:
             matrix = at(matrix, parameter)
+        out_edges = tuple(range(len(edges), len(edges) + len(out)))
+        edges += out
+        frontier[pos : pos + len(in_edges)] = out_edges
         vertices.append(Vertex(vertex_kind, matrix, parameter, in_edges, out_edges, pos))
-    return ScatteringDiagram(name, edges, vertices, tuple(range(len(inputs))), tuple(frontier), {})
+    return ScatteringDiagram(name, edges, vertices, len(inputs), tuple(frontier), {})
 
 
 def _checked(diagram: ScatteringDiagram, row: list) -> ScatteringDiagram:
     """The diagram, once its output strands carry the (colour, parameter)
     row that its family promises."""
-    if [diagram.edges[e][1:] for e in diagram.output_edges] != row:
+    if [diagram.edges[e] for e in diagram.output_edges] != row:
         raise RuntimeError(f"diagram construction: {diagram.name} has the wrong output row")
     return diagram
 
@@ -260,9 +256,9 @@ def transfer(diagram: ScatteringDiagram, boundary, reverse: bool = False) -> Col
     states: dict[tuple[Label, ...], tuple[Polynomial, int]] = {key: (UNIT, 1)}
     for v in reversed(diagram.vertices) if reverse else diagram.vertices:
         if reverse:
-            index, arity = v.matrix.by_output(), len(v.out_edges)
+            index, arity = v.matrix.by_output, len(v.out_edges)
         else:
-            index, arity = v.matrix.by_input(), len(v.in_edges)
+            index, arity = v.matrix.by_input, len(v.in_edges)
         pos, end, parameter = v.position, v.position + arity, v.parameter
         new_states: dict[tuple[Label, ...], tuple[Polynomial, int]] = {}
         for state, (coeff, count) in states.items():
@@ -292,10 +288,9 @@ class Labeling(NamedTuple):
 
     def dump(self, verbose: bool = False) -> str:
         lines = []
-        for e in self.diagram.edges:
-            lab = self.edge_labels[e.ident]
+        for ident, (e, lab) in enumerate(zip(self.diagram.edges, self.edge_labels)):
             text = lab.token if verbose else lab.compact
-            lines.append(f"{e.ident} {e.colour} {e.parameter} {text}")
+            lines.append(f"{ident} {e.colour} {e.parameter} {text}")
         lines.append(f"fugacity: {self.fugacity}")
         return "\n".join(lines)
 
@@ -308,7 +303,8 @@ def enumerate_labelings(
     """All edge labelings consistent with the boundary constraints and with
     every vertex weight nonzero, in lexicographic order of the label
     assignment along the construction order.  Either boundary may be None
-    (free)."""
+    (free).  A partial labeling is the tuple of labels of the edges made so
+    far: an admissible input row, then each vertex's out-labels in turn."""
     want_out: dict[int, Label] = {}
     if out_labels is not None:
         out_key = tuple(out_labels)
@@ -319,58 +315,30 @@ def enumerate_labelings(
         in_key = tuple(in_labels)
         if len(in_key) != diagram.n_inputs:
             raise ValueError("input boundary length mismatch")
+        rows = [in_key]
     else:
-        in_key = None
+        rows = itertools.product(LABELS, repeat=diagram.n_inputs)
+
+    def admissible(first: int, labels) -> bool:
+        """Whether `labels`, on the edges numbered from `first`, meet the output boundary."""
+        return all(want_out.get(e, lab) == lab for e, lab in enumerate(labels, first))
 
     results: list[Labeling] = []
-    assignment: dict[int, Label] = {}
+    vertices = diagram.vertices
 
-    def admissible(edge: int, lab: Label) -> bool:
-        return edge not in want_out or want_out[edge] == lab
-
-    def assign_inputs(idx: int):
-        if idx == diagram.n_inputs:
-            run_vertices(0, Polynomial.integer(1))
-            return
-        edge = diagram.input_edges[idx]
-        if in_key is not None:
-            choices = (in_key[idx],)
-        else:
-            choices = LABELS
-        for lab in choices:
-            if not admissible(edge, lab):
-                continue
-            assignment[edge] = lab
-            assign_inputs(idx + 1)
-            del assignment[edge]
-
-    def run_vertices(idx: int, fug: Polynomial):
-        if idx == len(diagram.vertices):
-            labels = tuple(assignment[e.ident] for e in diagram.edges)
+    def extend(idx: int, labels: tuple[Label, ...], fug: Polynomial) -> None:
+        if idx == len(vertices):
             results.append(Labeling(diagram, labels, fug))
             return
-        v = diagram.vertices[idx]
-        inn = tuple(assignment[e] for e in v.in_edges)
-        for out, weight in v.matrix.by_input().get(inn, ()):
-            if not all(admissible(e, lab) for e, lab in zip(v.out_edges, out)):
-                continue
-            for e, lab in zip(v.out_edges, out):
-                assignment[e] = lab
-            run_vertices(idx + 1, fug * (v.parameter if weight is PARAMETER else weight))
-            for e in v.out_edges:
-                del assignment[e]
+        v = vertices[idx]
+        for out, weight in v.matrix.by_input.get(tuple(labels[e] for e in v.in_edges), ()):
+            if admissible(len(labels), out):
+                extend(idx + 1, labels + out, fug * (v.parameter if weight is PARAMETER else weight))
 
-    assign_inputs(0)
+    for row in rows:
+        if admissible(0, row):
+            extend(0, row, Polynomial.integer(1))
     return results
-
-
-def as_sparse_map(diagram: ScatteringDiagram) -> SparseMap:
-    """The diagram's full boundary-to-boundary map, entry by entry."""
-    entries = {}
-    for inn in itertools.product(LABELS, repeat=diagram.n_inputs):
-        for out, weight in transfer(diagram, inn).items():
-            entries[(out, inn)] = weight
-    return SparseMap(diagram.n_outputs, diagram.n_inputs, entries)
 
 
 # -- the diagram-move identities --------------------------------------------
@@ -407,6 +375,8 @@ def _identity_sides(which: str) -> tuple[ScatteringDiagram, ScatteringDiagram]:
 
 
 def verify_identity(which: str) -> bool:
-    """Whether both sides of the named identity have the same boundary map."""
+    """Whether both sides of the named identity have the same boundary map:
+    the same column at every input boundary."""
     lhs, rhs = _identity_sides(which)
-    return as_sparse_map(lhs) == as_sparse_map(rhs)
+    rows = itertools.product(LABELS, repeat=lhs.n_inputs)
+    return lhs.n_outputs == rhs.n_outputs and all(transfer(lhs, row) == transfer(rhs, row) for row in rows)

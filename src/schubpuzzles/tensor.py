@@ -5,10 +5,12 @@ Conventions, fixed once for the whole package:
 
 * Each map is stored entrywise as ``entries[(out_tuple, in_tuple)]`` with
   tuples of labels read left to right; diagrams compose bottom to top, so
-  the in-tuple is the lower boundary of the vertex.
+  the in-tuple is the lower boundary of the vertex.  Every map is indexed
+  when it is built: `by_input` and `by_output` group its entries by either
+  side, and nothing changes a map afterwards.
 * A vertex is one shared matrix plus its parameter.  There are five
-  matrices, built and indexed once here; each entry is the shared `UNIT`
-  or the `PARAMETER` marker, which stands for the vertex's parameter.
+  matrices, built once here; each entry is the shared `UNIT` or the
+  `PARAMETER` marker, which stands for the vertex's parameter.
 * A crossing of strands whose lower-left/lower-right spectral parameters
   are a and b carries R(a-b); the left strand exits upper right.
   Same-colour crossings (parameter b-a) and the red-green crossing
@@ -43,7 +45,7 @@ PARAMETER = Polynomial.integer(2)
 class SparseMap:
     """A sparse linear map between tensor powers of the 3-dimensional label space."""
 
-    __slots__ = ("out_arity", "in_arity", "entries", "_by_input", "_by_output")
+    __slots__ = ("out_arity", "in_arity", "entries", "by_input", "by_output")
 
     def __init__(self, out_arity: int, in_arity: int, entries=None):
         self.out_arity = out_arity
@@ -58,8 +60,9 @@ class SparseMap:
                 if weight.is_zero:
                     continue
                 self.entries[(tuple(out), tuple(inn))] = weight
-        self._by_input = None
-        self._by_output = None
+        # entries grouped by in-tuple, each list sorted by out-tuple, and the reverse
+        self.by_input = self._grouped(by_out=False)
+        self.by_output = self._grouped(by_out=True)
 
     def _grouped(self, by_out: bool) -> dict:
         grouped: dict = {}
@@ -69,24 +72,6 @@ class SparseMap:
         for lst in grouped.values():
             lst.sort(key=lambda ow: ow[0])
         return grouped
-
-    def by_input(self) -> dict:
-        """Entries grouped by in-tuple, each list sorted by out-tuple."""
-        if self._by_input is None:
-            self._by_input = self._grouped(by_out=False)
-        return self._by_input
-
-    def by_output(self) -> dict:
-        """Entries grouped by out-tuple, each list sorted by in-tuple."""
-        if self._by_output is None:
-            self._by_output = self._grouped(by_out=True)
-        return self._by_output
-
-    def indexed(self) -> "SparseMap":
-        """This map, with both indexes built now rather than on first use."""
-        self.by_input()
-        self.by_output()
-        return self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseMap):
@@ -117,7 +102,7 @@ R_SAME_COLOUR = SparseMap(2, 2, {
     **{((k, l), (k, l)): UNIT for k, l in itertools.product(LABELS, repeat=2)},
     **{(out, inn): PARAMETER
        for out, inn in (((O1, Z0), (Z0, O1)), ((T10, Z0), (Z0, T10)), ((O1, T10), (T10, O1)))},
-}).indexed()
+})
 
 # Crossing of a red strand (lower left) over a green one: the parameter at
 # (0,1)<-(1,0) and nine unit entries; everything else vanishes.
@@ -134,13 +119,13 @@ R_RED_GREEN = SparseMap(2, 2, {
         (T10, O1, Z0, Z0),
         (T10, O1, O1, T10),
     )},
-}).indexed()
+})
 
 # Blue strand bouncing at the wall: identity plus the parameter at (1)<-(0).
-K_BLUE = SparseMap(1, 1, {**{((x,), (x,)): UNIT for x in LABELS}, ((O1,), (Z0,)): PARAMETER}).indexed()
+K_BLUE = SparseMap(1, 1, {**{((x,), (x,)): UNIT for x in LABELS}, ((O1,), (Z0,)): PARAMETER})
 
 # Red strand bouncing into a green one at the wall; exchanges 0 and 1.
-K_RED = SparseMap(1, 1, {((O1,), (Z0,)): UNIT, ((Z0,), (O1,)): UNIT}).indexed()
+K_RED = SparseMap(1, 1, {((O1,), (Z0,)): UNIT, ((Z0,), (O1,)): UNIT})
 
 # Trivalent vertex: blue in, green (left) and red (right) out; five unit
 # entries (green,red)<-(blue).
@@ -150,4 +135,4 @@ U_SPLIT = SparseMap(2, 1, {((i, j), (k,)): UNIT for i, j, k in (
     (O1, Z0, T10),
     (O1, O1, O1),
     (T10, O1, Z0),
-)}).indexed()
+)})

@@ -12,7 +12,6 @@ import pytest
 
 from schubpuzzles.diagram import (
     IDENTITY_NAMES,
-    as_sparse_map,
     build_half_diagram,
     build_triangle_diagram,
     build_wiring_diagram,
@@ -30,7 +29,7 @@ from schubpuzzles.schubert import (
     two_step_product,
 )
 from schubpuzzles.weyl import _word, restrictions_at
-from test_tensor import boundary, half_puzzles, positive_roots, vertex_weights, zero_one_bounces
+from test_tensor import as_sparse_map, boundary, half_puzzles, positive_roots, vertex_weights, zero_one_bounces
 
 parse = LabelString.parse
 

@@ -320,8 +320,12 @@ def test_console_script_reads_sys_argv(capsys):
     assert "the following arguments are required: --k, --n" in bad.stderr
 
 
+def _words(alphabet: str, n: int) -> list[str]:
+    return ["".join(w) for w in itertools.product(alphabet, repeat=n)]
+
+
 def _binary_words(n: int) -> list[str]:
-    return ["".join(w) for w in itertools.product("01", repeat=n)]
+    return _words("01", n)
 
 
 def _digest_corpus() -> list[list[str]]:
@@ -381,6 +385,30 @@ def _digest_corpus() -> list[list[str]]:
         ["verify-identities"],
         ["verify-identities", "--format", "json"],
     ]
+    # enumerate: triangles for n <= 3 and halves for n <= 2, free, with every
+    # south boundary, and with every northern boundary over 0, 10, 1 (binary
+    # ones for the n = 3 triangle), each in text, JSON and with verbose labels
+    queries = []
+    for family, sizes in (("triangle", (1, 2, 3)), ("half", (1, 2))):
+        for n in sizes:
+            base = ["enumerate", "--family", family, "--n", str(n)]
+            queries.append(base)
+            queries += [base + ["--south", s] for s in _words("012", n)]
+            if family == "half":
+                queries += [base + ["--nw", nw] for nw in _words("012", 2 * n)]
+                continue
+            north = _words("01" if n == 3 else "012", n)
+            queries += [base + ["--nw", nw, "--ne", ne] for nw, ne in itertools.product(north, repeat=2)]
+    for query in queries:
+        corpus += [query, query + ["--format", "json"], query + ["--verbose-labels"]]
+    # every enumerate validation error
+    corpus += [
+        ["enumerate", "--family", "triangle", "--n", "2", "--nw", "01"],
+        ["enumerate", "--family", "triangle", "--n", "2", "--nw", "01", "--ne", "011"],
+        ["enumerate", "--family", "half", "--n", "2", "--ne", "01"],
+        ["enumerate", "--family", "half", "--n", "2", "--nw", "011"],
+        ["enumerate", "--family", "triangle", "--n", "2", "--south", "0"],
+    ]
     return corpus
 
 
@@ -388,8 +416,8 @@ def test_cli_corpus_digest(capsys):
     # one SHA-256 over (argv, exit code, stdout, stderr) of a fixed corpus:
     # a change that removes code must leave every byte of it alone
     corpus = _digest_corpus()
-    assert len(corpus) == 555
+    assert len(corpus) == 1460
     digest = hashlib.sha256()
     for argv in corpus:
         digest.update(json.dumps([argv, *run(capsys, *argv)]).encode())
-    assert digest.hexdigest() == "f20b152c1d45bb763617dba8948b77c9709c579fe0adeb4a43f9812040c2159c"
+    assert digest.hexdigest() == "e183dc7f78797f7dcc19387cee4edf27c70f908d0d9cde2bd1db59bd9b10917c"

@@ -7,7 +7,7 @@ from schubpuzzles import diagram as diagram_module
 from schubpuzzles.diagram import (
     ScatteringDiagram,
     _grow,
-    as_sparse_map,
+    _identity_sides,
     build_half_diagram,
     build_triangle_diagram,
     build_wiring_diagram,
@@ -18,6 +18,7 @@ from schubpuzzles.labels import Label, LabelString, SpGr, strings_with_content
 from schubpuzzles.poly import Polynomial, y
 from schubpuzzles.tensor import UNIT, SparseMap
 from test_tensor import (
+    as_sparse_map,
     boundary,
     compose,
     identity_map,
@@ -332,17 +333,24 @@ def test_wiring_names_list_given_weights():
 
 
 def test_vertex_positions_replay_the_frontier():
+    # edges are numbered in construction order, the inputs first, so each
+    # vertex's out_edges are the next positions: the oracle rests on this
     for diagram in (
         build_triangle_diagram(4),
         build_half_diagram(3),
         build_wiring_diagram((3, 2, 3, 1, 2, 3), "C", 3),
+        build_wiring_diagram((1, 2, 1), "A", 3, (y(1), y(1), y(2))),
+        *_identity_sides("trivalent-swap"),
     ):
-        live = list(diagram.input_edges)
+        live, made = list(range(diagram.n_inputs)), diagram.n_inputs
         for v in diagram.vertices:
             end = v.position + len(v.in_edges)
             assert tuple(live[v.position : end]) == v.in_edges
+            assert v.out_edges == tuple(range(made, made + len(v.out_edges))), diagram.name
+            made += len(v.out_edges)
             live[v.position : end] = v.out_edges
         assert tuple(live) == diagram.output_edges
+        assert len(diagram.edges) == made
 
 
 def test_transfer_boundary_length_checked_on_pinned_side():
@@ -394,7 +402,7 @@ def test_transfer_does_not_depend_on_unit_sharing():
                 ))
                 for v in diagram.vertices
             ],
-            diagram.input_edges,
+            diagram.n_inputs,
             diagram.output_edges,
             {},
         )

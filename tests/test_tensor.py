@@ -8,7 +8,6 @@ from schubpuzzles import diagram, schubert, weyl
 from schubpuzzles.diagram import (
     IDENTITY_NAMES,
     _identity_sides,
-    as_sparse_map,
     build_half_diagram,
     enumerate_labelings,
     transfer,
@@ -46,7 +45,7 @@ def compose(f: SparseMap, g: SparseMap) -> SparseMap:
     if f.in_arity != g.out_arity:
         raise ValueError("arity mismatch in composition")
     acc: dict = {}
-    f_by_in = f.by_input()
+    f_by_in = f.by_input
     for (mid, inn), gw in g.entries.items():
         for out, fw in f_by_in.get(mid, ()):
             key = (out, inn)
@@ -112,9 +111,18 @@ def half_puzzles(lam, nu, n: int) -> list:
     return enumerate_labelings(schubert._half(n), out_labels=lam, in_labels=nu)
 
 
+def as_sparse_map(d) -> SparseMap:
+    """The diagram's full boundary-to-boundary map, entry by entry."""
+    entries = {}
+    for inn in itertools.product(LABELS, repeat=d.n_inputs):
+        for out, weight in transfer(d, inn).items():
+            entries[(out, inn)] = weight
+    return SparseMap(d.n_outputs, d.n_inputs, entries)
+
+
 def boundary(labeling) -> tuple[LabelString, LabelString]:
     d, labels = labeling.diagram, labeling.edge_labels
-    return LabelString(labels[e] for e in d.output_edges), LabelString(labels[e] for e in d.input_edges)
+    return LabelString(labels[e] for e in d.output_edges), LabelString(labels[: d.n_inputs])
 
 
 def vertex_weights(labeling) -> list[Polynomial]:
@@ -213,6 +221,11 @@ def test_sparse_map_checks_arity_before_dropping_zeros():
         SparseMap(1, 1, {((Z, Z), (Z,)): 0})
     with pytest.raises(ValueError, match="entry arity mismatch"):
         SparseMap(1, 1, {((Z,), ()): Polynomial.zero()})
+    # both indexes are built with the map, from the entries it keeps
+    m = SparseMap(1, 1, {((O,), (Z,)): 1, ((Z,), (O,)): 0})
+    assert type(m.by_input) is dict and type(m.by_output) is dict
+    assert m.by_input == {(Z,): [((O,), UNIT)]} and m.by_output == {(O,): [((Z,), UNIT)]}
+    assert m.by_input[(Z,)][0][1] is UNIT and m.by_output[(O,)][0][1] is UNIT
 
 
 def _pair_index(pair):
@@ -345,8 +358,8 @@ def _units(m: SparseMap):
     """Where m holds the shared UNIT, in its entries and both indexes."""
     return (
         {key for key, w in m.entries.items() if w is UNIT},
-        {key: [w is UNIT for _, w in lst] for key, lst in m.by_input().items()},
-        {key: [w is UNIT for _, w in lst] for key, lst in m.by_output().items()},
+        {key: [w is UNIT for _, w in lst] for key, lst in m.by_input.items()},
+        {key: [w is UNIT for _, w in lst] for key, lst in m.by_output.items()},
     )
 
 
@@ -363,8 +376,8 @@ def test_matrices_at_a_weight_equal_entrywise_construction(matrix, parameter, re
         got, want = at(matrix, parameter(argument)), reference(argument)
         assert (got.out_arity, got.in_arity) == (want.out_arity, want.in_arity)
         assert list(got.entries.items()) == list(want.entries.items()), argument
-        assert list(got.by_input().items()) == list(want.by_input().items()), argument
-        assert list(got.by_output().items()) == list(want.by_output().items()), argument
+        assert list(got.by_input.items()) == list(want.by_input.items()), argument
+        assert list(got.by_output.items()) == list(want.by_output.items()), argument
         assert _units(got) == _units(want), argument
 
 
@@ -372,13 +385,14 @@ _CONSTANTS = (R_SAME_COLOUR, R_RED_GREEN, K_BLUE, K_RED, U_SPLIT)
 
 
 def _constant_state():
-    return [(m.entries, m._by_input, m._by_output) for m in _CONSTANTS]
+    return [(m.entries, m.by_input, m.by_output) for m in _CONSTANTS]
 
 
 def test_diagrams_build_and_transfer_without_regrouping(monkeypatch):
-    # every vertex with a nonzero parameter holds one of the five shared,
-    # indexed matrices, so wiring and half diagrams build and transfer
-    # without grouping an index, and no transfer changes a shared matrix
+    # every vertex with a nonzero parameter holds one of the five shared
+    # matrices, so wiring and half diagrams build and transfer without making
+    # a map (each new map groups both its indexes), and no transfer changes a
+    # shared matrix
     assert all(w is UNIT or w is PARAMETER for m in _CONSTANTS for w in m.entries.values())
     before = copy.deepcopy(_constant_state())
     built = []
@@ -406,8 +420,8 @@ def test_diagrams_build_and_transfer_without_regrouping(monkeypatch):
         assert transfer(half, lam, reverse=True)
     assert transfer(half, (Z, O, T))
     assert calls == []
-    SparseMap(1, 1, {((Z,), (Z,)): 1}).by_input()  # the counter does see a regrouping
-    assert calls == [False]
+    SparseMap(1, 1, {((Z,), (Z,)): 1})  # the counter does see a new map's indexes
+    assert calls == [False, True]
     assert built
     for d in built + [half]:
         for v in d.vertices:
