@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .labels import LABELS, Label, Record
+from .labels import LABELS, Label
 from .poly import Polynomial, u, y
 from .tensor import (
     K_BLUE, K_RED, PARAMETER, R_RED_GREEN, R_SAME_COLOUR, U_SPLIT, UNIT, SparseMap, at,
@@ -61,17 +61,12 @@ class Vertex(NamedTuple):
     position: int  # frontier position of in_edges[0] when the vertex was added
 
 
-class ScatteringDiagram(Record):
-    # edges: list[Edge] in construction order, an edge's ident being its
-    # position: the n_inputs input edges first, then each vertex's out_edges
-    # in turn; vertices: list[Vertex], in topological order (the inputs of
-    # each vertex exist before it); output_edges: tuple of edge idents;
-    # _transfer_cache: (reverse, boundary) -> Column
-    __slots__ = ("name", "edges", "vertices", "n_inputs", "output_edges", "_transfer_cache")
-
-    # equal to itself only: the transfer cache is a field that fills with use
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+class ScatteringDiagram(NamedTuple):
+    name: str
+    edges: list[Edge]  # in construction order: the inputs, then each vertex's out_edges
+    vertices: list[Vertex]  # in topological order: a vertex's inputs exist before it
+    n_inputs: int
+    output_edges: tuple[int, ...]  # edge idents
 
     @property
     def n_outputs(self) -> int:
@@ -126,7 +121,7 @@ def _grow(name: str, inputs, moves) -> ScatteringDiagram:
         edges += out
         frontier[pos : pos + len(in_edges)] = out_edges
         vertices.append(Vertex(vertex_kind, matrix, parameter, in_edges, out_edges, pos))
-    return ScatteringDiagram(name, edges, vertices, len(inputs), tuple(frontier), {})
+    return ScatteringDiagram(name, edges, vertices, len(inputs), tuple(frontier))
 
 
 def _checked(diagram: ScatteringDiagram, row: list) -> ScatteringDiagram:
@@ -244,15 +239,13 @@ def transfer(diagram: ScatteringDiagram, boundary, reverse: bool = False) -> Col
     labelings) and exists exactly when some partial labeling reaches it, so
     the counts are exact.  A unit matrix entry (the shared `UNIT`) only
     relabels the state; a `PARAMETER` entry multiplies it by the vertex's
-    parameter, and any other entry by the entry itself."""
+    parameter, and any other entry by the entry itself.  It is pure: each
+    call returns a new column, and `schubert._column` memoises repeats."""
     key = tuple(boundary)
     pinned = diagram.n_outputs if reverse else diagram.n_inputs
     if len(key) != pinned:
         side = "output" if reverse else "input"
         raise ValueError(f"{side} boundary has {len(key)} labels, diagram wants {pinned}")
-    cached = diagram._transfer_cache.get((reverse, key))
-    if cached is not None:
-        return cached
     states: dict[tuple[Label, ...], tuple[Polynomial, int]] = {key: (UNIT, 1)}
     for v in reversed(diagram.vertices) if reverse else diagram.vertices:
         if reverse:
@@ -273,7 +266,6 @@ def transfer(diagram: ScatteringDiagram, boundary, reverse: bool = False) -> Col
         states = new_states
     column = Column((s, p) for s, (p, _) in states.items() if not p.is_zero)
     column.counts = {s: c for s, (_, c) in states.items()}
-    diagram._transfer_cache[(reverse, key)] = column
     return column
 
 
@@ -321,7 +313,7 @@ def enumerate_labelings(
 
     def admissible(first: int, labels) -> bool:
         """Whether `labels`, on the edges numbered from `first`, meet the output boundary."""
-        return all(want_out.get(e, lab) == lab for e, lab in enumerate(labels, first))
+        return not want_out or all(want_out.get(e, lab) == lab for e, lab in enumerate(labels, first))
 
     results: list[Labeling] = []
     vertices = diagram.vertices
@@ -333,7 +325,8 @@ def enumerate_labelings(
         v = vertices[idx]
         for out, weight in v.matrix.by_input.get(tuple(labels[e] for e in v.in_edges), ()):
             if admissible(len(labels), out):
-                extend(idx + 1, labels + out, fug * (v.parameter if weight is PARAMETER else weight))
+                w = fug if weight is UNIT else fug * (v.parameter if weight is PARAMETER else weight)
+                extend(idx + 1, labels + out, w)
 
     for row in rows:
         if admissible(0, row):

@@ -148,9 +148,9 @@ def project_flag_string(s: LabelString, which: str) -> LabelString:
 class Record:
     """An immutable value whose fields are its __slots__, in the order of
     its constructor's arguments.  It is equal to, and hashed with, values
-    of its own class only, so Gr(2,4) and SpGr(2,4) are distinct cache
-    keys.  Assigning or deleting a field raises AttributeError.  A subclass
-    without slots, such as `Space`, is a base for records and has no fields."""
+    of its own class only: Gr(2,4) and SpGr(2,4) have equal fields but are
+    different spaces.  Assigning or deleting a field raises AttributeError;
+    a subclass without slots, such as `Space`, is a base with no fields."""
 
     __slots__ = ()
 

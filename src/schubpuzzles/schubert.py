@@ -3,12 +3,15 @@ Grassmannian Schubert classes to the symplectic Grassmannian, the
 nonequivariant duality sweep, and the end-to-end fixed-point crosschecks
 that tie the puzzle coefficients to the two restriction backends of `weyl`.
 
-Each expansion is read off one reverse contraction of a cached diagram.
-Its positivity is structural and needs no factoring here: every vertex
-parameter of a triangle or half diagram is a positive root, so every
-puzzle's fugacity is a product of positive roots.  The three sweeps count
-checked and failed cases through one `_sweep`, which describes the first
-failure only.  Each crosscheck builds every fixed-point column once.
+Each expansion is read off one reverse contraction of a triangle or half
+diagram.  Its positivity is structural and needs no factoring here: every
+vertex parameter of those diagrams is a positive root, so every puzzle's
+fugacity is a product of positive roots.  The package's one memo layer is
+here, where callers repeat queries: `_diagram` keeps each diagram and
+`_column` each column read, since `diagram.transfer` is pure.  The three
+sweeps count checked and failed cases through one `_sweep`, which
+describes the first failure only.  Each crosscheck builds every
+fixed-point column once.
 """
 
 from __future__ import annotations
@@ -81,13 +84,13 @@ class Report(Record):
 
 
 @lru_cache(maxsize=None)
-def _triangle(n: int):
-    return build_triangle_diagram(n)
+def _diagram(half: bool, n: int):
+    return build_half_diagram(n) if half else build_triangle_diagram(n)
 
 
 @lru_cache(maxsize=None)
-def _half(n: int):
-    return build_half_diagram(n)
+def _column(half: bool, n: int, boundary: tuple):
+    return transfer(_diagram(half, n), boundary, reverse=True)
 
 
 def _expansion(space, column: dict) -> ExpansionResult:
@@ -117,7 +120,7 @@ def two_step_product(lam: LabelString, mu: LabelString, n: int) -> ExpansionResu
     flag manifold, expanded by triangle puzzles with 10s allowed on the
     south side.  Coefficient of nu = sum of fugacities over puzzles with
     lam on the northwest, mu on the northeast and nu on the south.  One
-    reverse contraction from the north side lam+mu, cached on the diagram,
+    reverse contraction from the north side lam+mu, memoised by `_column`,
     yields every nu with its coefficient and its puzzle count."""
     if n < 1:
         raise ValueError(f"two-step product needs n >= 1, got n={n}")
@@ -125,7 +128,7 @@ def two_step_product(lam: LabelString, mu: LabelString, n: int) -> ExpansionResu
     k = _binary_content(mu, n, "mu")
     if j > k:
         raise ValueError(f"lambda has {j} zeros but mu has {k}; need #0(lambda) <= #0(mu)")
-    return _expansion(Fl(j, k, n), transfer(_triangle(n), lam + mu, reverse=True))
+    return _expansion(Fl(j, k, n), _column(False, n, lam + mu))
 
 
 def restrict_to_spgr(lam: LabelString, k: int, n: int) -> ExpansionResult:
@@ -140,7 +143,7 @@ def restrict_to_spgr(lam: LabelString, k: int, n: int) -> ExpansionResult:
         raise ValueError(
             f"lambda must have content 0^{k} 1^{2 * n - k}, got {lam.compact()}"
         )
-    return _expansion(target, transfer(_half(n), lam, reverse=True))
+    return _expansion(target, _column(True, n, lam))
 
 
 def _sweep(description: str, cases, failure) -> Report:
@@ -206,7 +209,7 @@ def crosscheck_restriction(k: int, n: int) -> Report:
         raise ValueError(f"crosscheck restriction needs n >= 1, got n={n}")
     ambient = Gr(k, 2 * n)
     target = SpGr(k, n)
-    weights = tuple(_half(n).output_parameters())
+    weights = tuple(_diagram(True, n).output_parameters())
     # each sigma's two checked columns: the ambient one at the doubled point,
     # in the symplectic torus, and the symplectic one at sigma
     columns = [

@@ -28,8 +28,10 @@ generator when mu ends in 1.
   grows into a class of the space.  The states are thus exactly the
   classes, each keyed by its own string.
 
-The roots alone use signed one-line images: alpha_i = y_i - y_{i+1}, and
-alpha_n = 2 y_n in type C, and w . y_i = y_{w(i)} with y_{-j} = -y_j.
+The roots are alpha_i = y_i - y_{i+1}, and alpha_n = 2 y_n in type C.
+Each beta_t is read off the images of y_1..y_rank under q_1..q_{t-1}: a
+letter i < rank swaps the images of y_i and y_{i+1}, the sign letter
+negates the last.
 The subword DP and the wiring-diagram contraction each give the whole
 column at mu from its word, and the two columns must be equal before
 ``restrictions_at`` or ``restriction`` (one entry) answers from them.
@@ -75,21 +77,15 @@ def _subword_column(word, omega: LabelString, group_type: str, weights=None) -> 
     identity).  The weights enter through the roots only, since
     specializing them is a ring homomorphism."""
     rank = len(omega)
-    if weights is None:
-        weights = tuple(y(i) for i in range(1, rank + 1))
-
-    def weight(j: int) -> Polynomial:
-        return weights[j - 1] if j > 0 else -weights[-j - 1]
-
+    image = list(weights) if weights is not None else [y(i) for i in range(1, rank + 1)]
     betas = []
-    prefix = list(range(1, rank + 1))
     for q in word:
         if group_type == "C" and q == rank:
-            betas.append(2 * weight(prefix[q - 1]))
-            prefix[q - 1] = -prefix[q - 1]
+            betas.append(2 * image[q - 1])
+            image[q - 1] = -image[q - 1]
         else:
-            betas.append(weight(prefix[q - 1]) - weight(prefix[q]))
-            prefix[q - 1], prefix[q] = prefix[q], prefix[q - 1]
+            betas.append(image[q - 1] - image[q])
+            image[q - 1], image[q] = image[q], image[q - 1]
     sign = rank if group_type == "C" else 0  # the sign letter, if any
     states = {omega: Polynomial.integer(1)}
     for q, beta in zip(reversed(word), reversed(betas)):

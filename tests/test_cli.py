@@ -42,7 +42,8 @@ def test_restrict_rank_7_output_digests(capsys):
             assert (code, err) == (0, "")
             assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
     finally:
-        schubert._half.cache_clear()  # the rank-7 diagram holds its columns
+        schubert._column.cache_clear()  # drop the rank-7 column and diagram
+        schubert._diagram.cache_clear()
 
 
 def test_restrict_verbose_labels(capsys):

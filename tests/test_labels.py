@@ -181,8 +181,8 @@ def test_space_validation():
 
 
 def test_spaces_are_distinct_immutable_values():
-    # spaces key the lru_caches of weyl, so Gr(k, n) and SpGr(k, n), whose
-    # fields are equal, must stay unequal and distinct keys
+    # Gr(k, n) and SpGr(k, n) have equal fields but are different spaces,
+    # so they must stay unequal and distinct dict keys
     for n in range(5):
         for k in range(n + 1):
             gr, spgr = Gr(k, n), SpGr(k, n)

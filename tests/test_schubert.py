@@ -83,10 +83,30 @@ def test_expansion_rejects_a_column_entry_outside_the_space(monkeypatch):
         return column
 
     monkeypatch.setattr(schubert, "transfer", transfer_with_stray_entry)
-    with pytest.raises(RuntimeError, match="reached 111, not a class on Fl"):
-        two_step_product(parse("011"), parse("001"), 3)
-    with pytest.raises(RuntimeError, match="not a class on SpGr"):
-        restrict_to_spgr(parse("011101"), 2, 3)
+    # a memoised column would not reach the patched transfer, and a stray
+    # one must not outlive this test
+    schubert._column.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="reached 111, not a class on Fl"):
+            two_step_product(parse("011"), parse("001"), 3)
+        with pytest.raises(RuntimeError, match="not a class on SpGr"):
+            restrict_to_spgr(parse("011101"), 2, 3)
+    finally:
+        schubert._column.cache_clear()
+
+
+def test_expansions_read_memoised_columns():
+    # a repeated query is served by `_column`, and cache_clear() empties
+    # both memo layers
+    lam, mu = parse("101"), parse("100")
+    first = two_step_product(lam, mu, 3)
+    hits = schubert._column.cache_info().hits
+    assert two_step_product(lam, mu, 3) == first
+    assert schubert._column.cache_info().hits == hits + 1
+    schubert._column.cache_clear()
+    schubert._diagram.cache_clear()
+    assert schubert._column.cache_info().currsize == schubert._diagram.cache_info().currsize == 0
+    assert two_step_product(lam, mu, 3) == first
 
 
 def test_product_golden():
@@ -238,7 +258,7 @@ def test_half_diagram_north_edges_carry_the_symplectic_torus():
     # y_{n+i} restricts to -y_{n+1-i} on the symplectic torus
     for n in range(1, 8):
         weights = [y(i) for i in range(1, n + 1)] + [-y(i) for i in range(n, 0, -1)]
-        assert schubert._half(n).output_parameters() == weights, n
+        assert schubert._diagram(True, n).output_parameters() == weights, n
 
 
 def test_duality_small():

@@ -46,7 +46,28 @@ def test_memo_layers_are_fixed():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         and any(_is_memo_decorator(d) for d in node.decorator_list)
     }
-    assert memoized == {"_triangle", "_half"}
+    assert memoized == {"_diagram", "_column"}
+    # and no class keeps a memo of its own in a slot or a field
+    cached = {
+        (node.name, name)
+        for _, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for name in _slots_and_fields(node)
+        if "cache" in name
+    }
+    assert not cached, cached
+
+
+def _slots_and_fields(node: ast.ClassDef):
+    """The names in a class body's __slots__ and its annotated fields."""
+    for stmt in node.body:
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            yield stmt.target.id
+        elif isinstance(stmt, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+        ):
+            yield from (elt.value for elt in ast.walk(stmt.value) if isinstance(elt, ast.Constant))
 
 
 def _after_cli_import(expression: str) -> str:

@@ -108,7 +108,7 @@ def substitute(p: Polynomial, images: dict) -> Polynomial:
 # -- readers of puzzles and matrix entries that the package does not need
 
 def half_puzzles(lam, nu, n: int) -> list:
-    return enumerate_labelings(schubert._half(n), out_labels=lam, in_labels=nu)
+    return enumerate_labelings(schubert._diagram(True, n), out_labels=lam, in_labels=nu)
 
 
 def as_sparse_map(d) -> SparseMap:
