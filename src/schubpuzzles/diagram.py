@@ -37,9 +37,7 @@ from typing import NamedTuple
 
 from .labels import LABELS, Label
 from .poly import Polynomial, u, y
-from .tensor import (
-    K_BLUE, K_RED, PARAMETER, R_RED_GREEN, R_SAME_COLOUR, U_SPLIT, UNIT, SparseMap, at,
-)
+from .tensor import K_BLUE, K_RED, R_RED_GREEN, R_SAME_COLOUR, U_SPLIT, UNIT, SparseMap
 
 
 class Edge(NamedTuple):
@@ -50,10 +48,9 @@ class Edge(NamedTuple):
 
 
 class Vertex(NamedTuple):
-    # A vertex is one shared matrix of `tensor` plus its parameter, the
-    # weight that the matrix's PARAMETER entries stand for (None when it has
-    # none).  A zero parameter gets a parameter-free copy of the matrix.
-    kind: str  # "crossing", "bounce" or "trivalent"
+    # A vertex is one of the five shared matrices of `tensor` plus its
+    # parameter, the nonzero weight that the matrix's PARAMETER entries
+    # stand for (None when it has none).
     matrix: SparseMap
     parameter: Polynomial | None
     in_edges: tuple[int, ...]
@@ -83,7 +80,8 @@ def _grow(name: str, inputs, moves) -> ScatteringDiagram:
     `moves` gives each vertex, bottom to top, as (kind, frontier position):
     a "split" turns the blue strand there into a green and a red one, a
     "cross" swaps it with the strand to its east, the west one exiting
-    east, and a "bounce" turns it off the east wall, negating its parameter."""
+    east, and a "bounce" turns it off the east wall, negating its parameter.
+    A vertex whose parameter is zero is an error."""
     edges = [Edge(colour, parameter) for colour, parameter in inputs]
     vertices: list[Vertex] = []
     frontier = list(range(len(edges)))
@@ -93,7 +91,7 @@ def _grow(name: str, inputs, moves) -> ScatteringDiagram:
         if kind == "split":
             if e_in.colour != "B":
                 raise ValueError("only blue strands split")
-            vertex_kind, matrix, parameter = "trivalent", U_SPLIT, None
+            matrix, parameter = U_SPLIT, None
             out = Edge("G", e_in.parameter), Edge("R", e_in.parameter)
         elif kind == "cross":
             right = edges[in_edges[1]]
@@ -104,7 +102,7 @@ def _grow(name: str, inputs, moves) -> ScatteringDiagram:
                 matrix, parameter = R_RED_GREEN, argument
             else:
                 raise ValueError(f"unsupported crossing colours {e_in.colour}{right.colour}")
-            vertex_kind, out = "crossing", (right, e_in)
+            out = right, e_in
         elif kind == "bounce":
             if e_in.colour == "R":
                 matrix, parameter, out_colour = K_RED, None, "G"
@@ -112,15 +110,15 @@ def _grow(name: str, inputs, moves) -> ScatteringDiagram:
                 matrix, parameter, out_colour = K_BLUE, Polynomial.integer(-2) * e_in.parameter, "B"
             else:
                 raise ValueError("only red and blue strands bounce")
-            vertex_kind, out = "bounce", (Edge(out_colour, -e_in.parameter),)
+            out = (Edge(out_colour, -e_in.parameter),)
         else:
             raise ValueError(f"unknown move {kind!r}")
         if parameter is not None and parameter.is_zero:
-            matrix = at(matrix, parameter)
+            raise ValueError(f"{name}: zero {kind} parameter at frontier position {pos}")
         out_edges = tuple(range(len(edges), len(edges) + len(out)))
         edges += out
         frontier[pos : pos + len(in_edges)] = out_edges
-        vertices.append(Vertex(vertex_kind, matrix, parameter, in_edges, out_edges, pos))
+        vertices.append(Vertex(matrix, parameter, in_edges, out_edges, pos))
     return ScatteringDiagram(name, edges, vertices, len(inputs), tuple(frontier))
 
 
@@ -181,17 +179,14 @@ def build_wiring_diagram(word, group_type: str, m: int, weights=None) -> Scatter
     their place; letters are placed top to bottom in word order and the
     diagram composes bottom to top.  Letter i < m (any i in type A) crosses
     strands i, i+1; in type C the letter m is a blue bounce on the last
-    strand, negating its parameter.  The name lists the weights when they
-    are given."""
+    strand, negating its parameter.  The name gives the type, m and the
+    word, not the weights."""
     if m < 1:
         raise ValueError("need at least one strand")
-    suffix = ""
     if weights is None:
         weights = tuple(y(i) for i in range(1, m + 1))
     elif len(weights) != m:
         raise ValueError(f"need {m} strand weights, got {len(weights)}")
-    else:
-        suffix = ";" + ",".join(map(str, weights))
     word = tuple(word)
     for q in word:
         if group_type == "A" and not 1 <= q <= m - 1:
@@ -211,7 +206,7 @@ def build_wiring_diagram(word, group_type: str, m: int, weights=None) -> Scatter
     moves.reverse()  # the diagram grows bottom to top
 
     colour = "G" if group_type == "A" else "B"
-    name = f"wiring({group_type},{m},{'.'.join(map(str, word))}{suffix})"
+    name = f"wiring({group_type},{m},{'.'.join(map(str, word))})"
     diagram = _grow(name, [(colour, p) for p in params], moves)
     return _checked(diagram, [(colour, w) for w in weights])
 
@@ -237,10 +232,10 @@ def transfer(diagram: ScatteringDiagram, boundary, reverse: bool = False) -> Col
     contracts in the opposite order through `by_output`, giving input
     boundary -> polynomial.  A frontier state carries (polynomial, number of
     labelings) and exists exactly when some partial labeling reaches it, so
-    the counts are exact.  A unit matrix entry (the shared `UNIT`) only
-    relabels the state; a `PARAMETER` entry multiplies it by the vertex's
-    parameter, and any other entry by the entry itself.  It is pure: each
-    call returns a new column, and `schubert._column` memoises repeats."""
+    the counts are exact.  A `UNIT` matrix entry only relabels the state;
+    a `PARAMETER` entry, the only other kind, multiplies it by the vertex's
+    parameter.  It is pure: each call returns a new column, and
+    `schubert._column` memoises repeats."""
     key = tuple(boundary)
     pinned = diagram.n_outputs if reverse else diagram.n_inputs
     if len(key) != pinned:
@@ -257,7 +252,7 @@ def transfer(diagram: ScatteringDiagram, boundary, reverse: bool = False) -> Col
         for state, (coeff, count) in states.items():
             for labels, weight in index.get(state[pos:end], ()):
                 new_state = state[:pos] + labels + state[end:]
-                w = coeff if weight is UNIT else coeff * (parameter if weight is PARAMETER else weight)
+                w = coeff if weight is UNIT else coeff * parameter
                 if new_state in new_states:
                     old, old_count = new_states[new_state]
                     new_states[new_state] = (old + w, old_count + count)
@@ -325,7 +320,7 @@ def enumerate_labelings(
         v = vertices[idx]
         for out, weight in v.matrix.by_input.get(tuple(labels[e] for e in v.in_edges), ()):
             if admissible(len(labels), out):
-                w = fug if weight is UNIT else fug * (v.parameter if weight is PARAMETER else weight)
+                w = fug if weight is UNIT else fug * v.parameter
                 extend(idx + 1, labels + out, w)
 
     for row in rows:

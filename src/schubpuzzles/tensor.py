@@ -9,8 +9,10 @@ Conventions, fixed once for the whole package:
   when it is built: `by_input` and `by_output` group its entries by either
   side, and nothing changes a map afterwards.
 * A vertex is one shared matrix plus its parameter.  There are five
-  matrices, built once here; each entry is the shared `UNIT` or the
-  `PARAMETER` marker, which stands for the vertex's parameter.
+  matrices, built once here, and each entry is the shared `UNIT` or the
+  `PARAMETER` marker, which stands for the vertex's parameter.  The
+  constructor rejects any other entry, so a contraction tells the two
+  apart by identity and never multiplies by an entry itself.
 * A crossing of strands whose lower-left/lower-right spectral parameters
   are a and b carries R(a-b); the left strand exits upper right.
   Same-colour crossings (parameter b-a) and the red-green crossing
@@ -32,9 +34,7 @@ from .poly import Polynomial
 
 Z0, T10, O1 = Label.ZERO, Label.TEN, Label.ONE
 
-# The unit entry.  Every matrix below, and every int 1 a SparseMap is given,
-# stores its unit entries as this one polynomial, so a contraction can tell
-# a unit weight by identity.
+# The unit entry of every matrix below.
 UNIT = Polynomial.integer(1)
 
 # Stands for the vertex's parameter in the matrices below; told apart by
@@ -43,54 +43,24 @@ PARAMETER = Polynomial.integer(2)
 
 
 class SparseMap:
-    """A sparse linear map between tensor powers of the 3-dimensional label space."""
+    """A sparse linear map between tensor powers of the 3-dimensional label
+    space, every entry `UNIT` or `PARAMETER`."""
 
-    __slots__ = ("out_arity", "in_arity", "entries", "by_input", "by_output")
+    __slots__ = ("entries", "by_input", "by_output")
 
-    def __init__(self, out_arity: int, in_arity: int, entries=None):
-        self.out_arity = out_arity
-        self.in_arity = in_arity
-        self.entries: dict = {}
-        if entries:
-            for (out, inn), weight in entries.items():
-                if len(out) != out_arity or len(inn) != in_arity:
-                    raise ValueError("entry arity mismatch")
-                if not isinstance(weight, Polynomial):
-                    weight = UNIT if weight == 1 else Polynomial.integer(weight)
-                if weight.is_zero:
-                    continue
-                self.entries[(tuple(out), tuple(inn))] = weight
+    def __init__(self, out_arity: int, in_arity: int, entries: dict):
+        for (out, inn), weight in entries.items():
+            if len(out) != out_arity or len(inn) != in_arity:
+                raise ValueError("entry arity mismatch")
+            if weight is not UNIT and weight is not PARAMETER:
+                raise ValueError(f"entry {weight} is neither UNIT nor PARAMETER")
+        self.entries = entries
         # entries grouped by in-tuple, each list sorted by out-tuple, and the reverse
-        self.by_input = self._grouped(by_out=False)
-        self.by_output = self._grouped(by_out=True)
-
-    def _grouped(self, by_out: bool) -> dict:
-        grouped: dict = {}
-        for (out, inn), weight in self.entries.items():
-            key, other = (out, inn) if by_out else (inn, out)
-            grouped.setdefault(key, []).append((other, weight))
-        for lst in grouped.values():
-            lst.sort(key=lambda ow: ow[0])
-        return grouped
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseMap):
-            return NotImplemented
-        return (
-            self.out_arity == other.out_arity
-            and self.in_arity == other.in_arity
-            and self.entries == other.entries
-        )
-
-    def __repr__(self) -> str:
-        return f"SparseMap(out_arity={self.out_arity}, in_arity={self.in_arity}, {len(self.entries)} entries)"
-
-
-def at(matrix: SparseMap, weight: Polynomial) -> SparseMap:
-    """`matrix` with `weight` written into its `PARAMETER` entries; a zero
-    weight drops them."""
-    entries = {key: weight if w is PARAMETER else w for key, w in matrix.entries.items()}
-    return SparseMap(matrix.out_arity, matrix.in_arity, entries)
+        self.by_input: dict = {}
+        self.by_output: dict = {}
+        for (out, inn), weight in sorted(entries.items()):
+            self.by_input.setdefault(inn, []).append((out, weight))
+            self.by_output.setdefault(out, []).append((inn, weight))
 
 
 # -- the vertex matrices, shared by every vertex of every diagram ---------

@@ -131,6 +131,36 @@ def test_one_diagram_builder():
     assert made == {("diagram.py", name, "_grow") for name in ("Edge", "Vertex", "ScatteringDiagram")}
 
 
+def test_vertex_matrices_are_built_at_import():
+    # the five vertex matrices are the only maps: a diagram's vertices share
+    # them, so no function of the package builds a map
+    made = {
+        (path.name, function)
+        for path, tree in _package_trees()
+        for callee, function in _calls(tree)
+        if callee == "SparseMap"
+    }
+    assert made == {("tensor.py", None)}
+
+
+def _named_tuple_fields(tree):
+    """(class name, field name) for every field of a NamedTuple class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(ast.unparse(b) == "NamedTuple" for b in node.bases):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def test_named_tuple_fields_are_read_by_the_package():
+    # a field that nothing reads is data each build stores for no reader
+    trees = [tree for _, tree in _package_trees()]
+    read = {name for tree in trees for name, attribute, _ in _references(tree) if attribute}
+    fields = {field for tree in trees for field in _named_tuple_fields(tree)}
+    assert {cls for cls, _ in fields} == {"Edge", "Vertex", "ScatteringDiagram", "Labeling"}
+    assert {(cls, name) for cls, name in fields if name not in read} == set()
+
+
 # Public names that no code in the package references, each with the reason
 # it stays.  The `if __name__ == "__main__":` block of a module is a way in
 # from outside, so it references nothing.
