@@ -82,7 +82,7 @@ class Polynomial:
     """An immutable integer polynomial in named variables."""
 
     # _deg is an upper bound on the total degree, at most _MASK
-    __slots__ = ("_terms", "_hash", "_deg")
+    __slots__ = ("_terms", "_deg")
 
     @classmethod
     def _raw(cls, packed: dict[int, int], bound: int) -> "Polynomial":
@@ -90,7 +90,6 @@ class Polynomial:
         degree is at most bound."""
         p = cls.__new__(cls)
         p._terms = packed
-        p._hash = None
         p._deg = bound
         return p
 
@@ -206,10 +205,8 @@ class Polynomial:
 
     def __hash__(self) -> int:
         # a constant equals its int, so it hashes as that int
-        if self._hash is None:
-            value = self.constant_value()
-            self._hash = hash(frozenset(self._terms.items()) if value is None else value)
-        return self._hash
+        value = self.constant_value()
+        return hash(frozenset(self._terms.items()) if value is None else value)
 
     def __bool__(self) -> bool:
         return bool(self._terms)

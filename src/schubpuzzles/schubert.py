@@ -11,7 +11,7 @@ here, where callers repeat queries: `_diagram` keeps each diagram and
 `_column` each column read, since `diagram.transfer` is pure.  The three
 sweeps count checked and failed cases through one `_sweep`, which
 describes the first failure only.  Each crosscheck builds every
-fixed-point column once.
+fixed-point column once and keeps it only while that point is checked.
 """
 
 from __future__ import annotations
@@ -202,7 +202,9 @@ def crosscheck_restriction(k: int, n: int) -> Report:
     """Verify the symplectic restriction expansion at every fixed point:
     the ambient restriction at the doubled point, computed in the torus of
     the half diagram's north edges (y_1..y_n, -y_n..-y_1), must equal the
-    pairing of the half-puzzle expansion with the symplectic restrictions."""
+    pairing of the half-puzzle expansion with the symplectic restrictions.
+    The cases run in (sigma, lambda) order, and the first failure reported
+    is the first in that order."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if n < 1:
@@ -210,18 +212,14 @@ def crosscheck_restriction(k: int, n: int) -> Report:
     ambient = Gr(k, 2 * n)
     target = SpGr(k, n)
     weights = tuple(_diagram(True, n).output_parameters())
-    # each sigma's two checked columns: the ambient one at the doubled point,
-    # in the symplectic torus, and the symplectic one at sigma
-    columns = [
-        (sigma, restrictions_at(ambient, sigma.double(), weights), restrictions_at(target, sigma))
-        for sigma in target.strings()
-    ]
+    expansions = [(lam, restrict_to_spgr(lam, k, n).terms) for lam in ambient.strings()]
     zero = Polynomial.zero()
 
     def cases():
-        for lam in ambient.strings():
-            expansion = restrict_to_spgr(lam, k, n).terms
-            for sigma, ambient_column, target_column in columns:
+        for sigma in target.strings():
+            ambient_column = restrictions_at(ambient, sigma.double(), weights)
+            target_column = restrictions_at(target, sigma)
+            for lam, expansion in expansions:
                 lhs = ambient_column.get(lam, zero)
                 yield lhs, _pairing(expansion, target_column), lam, sigma
 
@@ -235,7 +233,9 @@ def crosscheck_restriction(k: int, n: int) -> Report:
 def crosscheck_product(j: int, k: int, n: int) -> Report:
     """Verify the two-step product expansion at every flag fixed point:
     pairing the expansion with flag restrictions must equal the product of
-    the two Grassmannian restrictions at the projected points."""
+    the two Grassmannian restrictions at the projected points.  The cases
+    run in (sigma, lambda, mu) order, and the first failure reported is the
+    first in that order."""
     if not 0 <= j <= k <= n:
         raise ValueError(f"need 0 <= j <= k <= n, got j={j}, k={k}, n={n}")
     if n < 1:
@@ -247,26 +247,18 @@ def crosscheck_product(j: int, k: int, n: int) -> Report:
     # every Grassmannian point is the projection of some flag point
     at_j = {rho: restrictions_at(gr_j, rho) for rho in lams}
     at_k = {rho: restrictions_at(gr_k, rho) for rho in mus}
-    # each sigma's flag column, and the Grassmannian columns at its projections
-    columns = [
-        (
-            sigma,
-            restrictions_at(space, sigma),
-            at_j[project_flag_string(sigma, "j")],
-            at_k[project_flag_string(sigma, "k")],
-        )
-        for sigma in space.strings()
-    ]
+    expansions = [(lam, mu, two_step_product(lam, mu, n).terms) for lam in lams for mu in mus]
     zero = Polynomial.zero()
 
     def cases():
-        for lam in lams:
-            for mu in mus:
-                expansion = two_step_product(lam, mu, n).terms
-                for sigma, column, column_j, column_k in columns:
-                    lhs = _pairing(expansion, column)
-                    rhs = column_j.get(lam, zero) * column_k.get(mu, zero)
-                    yield lhs, rhs, lam, mu, sigma
+        for sigma in space.strings():
+            column = restrictions_at(space, sigma)
+            column_j = at_j[project_flag_string(sigma, "j")]
+            column_k = at_k[project_flag_string(sigma, "k")]
+            for lam, mu, expansion in expansions:
+                lhs = _pairing(expansion, column)
+                rhs = column_j.get(lam, zero) * column_k.get(mu, zero)
+                yield lhs, rhs, lam, mu, sigma
 
     return _sweep(
         f"product crosscheck on {space}", cases(),

@@ -275,6 +275,10 @@ def test_crosscheck_restriction_counts():
     assert r.passed and r.checked == 16
     r = crosscheck_restriction(2, 2)
     assert r.passed and r.checked == 24
+    # k = 0: one fixed point and one class
+    for n in (1, 2):
+        r = crosscheck_restriction(0, n)
+        assert r.passed and r.checked == 1
 
 
 @pytest.mark.slow
@@ -387,6 +391,35 @@ def test_crosschecks_build_each_column_once(monkeypatch):
     assert len(calls) == len(set(calls)) == 22
 
 
+def test_crosschecks_sweep_one_fixed_point_at_a_time(monkeypatch):
+    # each point's columns are built just before its cases are checked, so
+    # no sweep holds the columns of every point at once; at (1,2,4) the
+    # Grassmannian columns are read first, since many flag points project
+    # to each Grassmannian point
+    events = []
+    real_column, real_pairing = schubert.restrictions_at, schubert._pairing
+
+    def column(*args):
+        events.append("column")
+        return real_column(*args)
+
+    def pairing(*args):
+        events.append("pair")
+        return real_pairing(*args)
+
+    monkeypatch.setattr(schubert, "restrictions_at", column)
+    monkeypatch.setattr(schubert, "_pairing", pairing)
+    assert crosscheck_restriction(2, 3).passed
+    points, classes = len(SpGr(2, 3).strings()), len(Gr(2, 6).strings())
+    assert (points, classes) == (12, 15)
+    assert events == (["column"] * 2 + ["pair"] * classes) * points
+    events.clear()
+    assert crosscheck_product(1, 2, 4).passed
+    points, lams, mus = len(Fl(1, 2, 4).strings()), len(Gr(1, 4).strings()), len(Gr(2, 4).strings())
+    assert (points, lams, mus) == (12, 4, 6)
+    assert events == ["column"] * (lams + mus) + (["column"] + ["pair"] * lams * mus) * points
+
+
 def test_crosscheck_validation():
     with pytest.raises(ValueError):
         crosscheck_restriction(3, 2)
@@ -397,10 +430,10 @@ def test_crosscheck_validation():
 def test_sweeps_report_their_first_failure(monkeypatch):
     # one expansion off by one fails each sweep; the reports were recorded
     # before the three sweeps shared their bookkeeping
-    def off_by_one(original, bad):
+    def off_by_one(original, *bad):
         def wrapper(lam, *rest):
             result = original(lam, *rest)
-            if lam == parse(bad):
+            if lam.compact() in bad:
                 nu = min(result.terms)
                 terms = {**result.terms, nu: result.terms[nu] + 1}
                 result = ExpansionResult(result.space, terms, result.puzzle_counts)
@@ -419,6 +452,18 @@ def test_sweeps_report_their_first_failure(monkeypatch):
     report = crosscheck_restriction(2, 2)
     assert (report.checked, report.failed) == (24, 3)
     assert report.first_failure == "lambda=0101 sigma=01: ambient 2*y2 vs expansion 4*y2"
+    # two bad classes: 011110 first fails at the point 102, the later class
+    # 100111 already at the earlier point 200, and the cases run point by
+    # point
+    monkeypatch.setattr(
+        schubert, "restrict_to_spgr", off_by_one(restrict_to_spgr, "011110", "100111")
+    )
+    report = crosscheck_restriction(2, 3)
+    assert (report.checked, report.failed) == (180, 12)
+    assert report.first_failure == (
+        "lambda=100111 sigma=200: ambient y1^2 - y1*y2 - y1*y3 + y2*y3 "
+        "vs expansion 2*y1^2 - 2*y1*y2 - 2*y1*y3 + 2*y2*y3"
+    )
 
 
 def test_report_json():

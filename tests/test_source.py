@@ -47,14 +47,15 @@ def test_memo_layers_are_fixed():
         and any(_is_memo_decorator(d) for d in node.decorator_list)
     }
     assert memoized == {"_diagram", "_column"}
-    # and no class keeps a memo of its own in a slot or a field
+    # and no class keeps a memo of its own, of values or of hashes, in a
+    # slot or a field
     cached = {
         (node.name, name)
         for _, tree in _package_trees()
         for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef)
         for name in _slots_and_fields(node)
-        if "cache" in name
+        if "cache" in name or "hash" in name
     }
     assert not cached, cached
 
