@@ -172,32 +172,19 @@ def build_half_diagram(n: int) -> ScatteringDiagram:
     return _checked(diagram, [("G", p) for p in ys] + [("G", -p) for p in reversed(ys)])
 
 
-def build_wiring_diagram(word, group_type: str, m: int, weights=None) -> ScatteringDiagram:
-    """Wiring diagram of a word in simple generators on m strands.
-
-    Strands carry y_1..y_m along the top, or the m polynomials `weights` in
-    their place; letters are placed top to bottom in word order and the
-    diagram composes bottom to top.  Letter i < m (any i in type A) crosses
-    strands i, i+1; in type C the letter m is a blue bounce on the last
-    strand, negating its parameter.  The name gives the type, m and the
-    word, not the weights."""
-    if m < 1:
-        raise ValueError("need at least one strand")
-    if weights is None:
-        weights = tuple(y(i) for i in range(1, m + 1))
-    elif len(weights) != m:
-        raise ValueError(f"need {m} strand weights, got {len(weights)}")
-    word = tuple(word)
-    for q in word:
-        if group_type == "A" and not 1 <= q <= m - 1:
-            raise ValueError(f"type A generator index {q} out of range 1..{m - 1}")
-        if group_type == "C" and not 1 <= q <= m:
-            raise ValueError(f"type C generator index {q} out of range 1..{m}")
-
+def build_wiring_diagram(word, group_type: str, weights) -> ScatteringDiagram:
+    """Wiring diagram of a word in simple generators on m = len(weights)
+    strands, which carry `weights` along the top; letters are placed top to
+    bottom in word order and the diagram composes bottom to top.  Letter
+    q < m crosses strands q, q+1; the letter m, which only type-C words
+    hold, is a blue bounce on the last strand, negating its parameter.
+    `restrictions_at` checks the word and weights; a bad letter raises.
+    The name gives the type, m and the word, not the weights."""
+    m = len(weights)
     params: list[Polynomial] = list(weights)
     moves = []
     for q in word:  # top to bottom
-        if group_type == "C" and q == m:
+        if q == m:
             params[m - 1] = -params[m - 1]
             moves.append(("bounce", m - 1))
         else:

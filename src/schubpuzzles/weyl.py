@@ -31,10 +31,10 @@ generator when mu ends in 1.
 The roots are alpha_i = y_i - y_{i+1}, and alpha_n = 2 y_n in type C.
 Each beta_t is read off the images of y_1..y_rank under q_1..q_{t-1}: a
 letter i < rank swaps the images of y_i and y_{i+1}, the sign letter
-negates the last.
-The subword DP and the wiring-diagram contraction each give the whole
-column at mu from its word, and the two columns must be equal before
-``restrictions_at`` or ``restriction`` (one entry) answers from them.
+negates the last.  The sign letter, rank, occurs only in type-C words.
+`restrictions_at` alone fixes a column's torus and mu's word; the subword
+DP and the wiring-diagram contraction each give the whole column from
+both, and the two must be equal before it or ``restriction`` answers.
 """
 
 from __future__ import annotations
@@ -69,29 +69,28 @@ def _word(mu: LabelString, omega: LabelString, group_type: str) -> tuple[int, ..
     return tuple(word)
 
 
-def _subword_column(word, omega: LabelString, group_type: str, weights=None) -> dict:
+def _subword_column(word, omega: LabelString, weights) -> dict:
     """Billey's formula on the word, read from right to left: the
     restrictions to the fixed point with reduced word `word` of the classes
     of every minimal coset representative below it, as {string: polynomial},
-    in the torus whose weights are the images of y_1..y_rank (None: the
-    identity).  The weights enter through the roots only, since
-    specializing them is a ring homomorphism."""
+    in the torus whose weights `weights` are the images of y_1..y_rank.
+    They enter through the roots only, since specializing them is a ring
+    homomorphism.  The letter rank is the sign letter."""
     rank = len(omega)
-    image = list(weights) if weights is not None else [y(i) for i in range(1, rank + 1)]
+    image = list(weights)
     betas = []
     for q in word:
-        if group_type == "C" and q == rank:
+        if q == rank:
             betas.append(2 * image[q - 1])
             image[q - 1] = -image[q - 1]
         else:
             betas.append(image[q - 1] - image[q])
             image[q - 1], image[q] = image[q], image[q - 1]
-    sign = rank if group_type == "C" else 0  # the sign letter, if any
     states = {omega: Polynomial.integer(1)}
     for q, beta in zip(reversed(word), reversed(betas)):
         new_states = dict(states)
         for state, total in states.items():
-            if q == sign:
+            if q == rank:
                 if state[-1] is not Label.ZERO:
                     continue
                 grown = state[:-1] + (Label.ONE,)
@@ -112,26 +111,28 @@ def restrictions_at(space: Space, mu: LabelString, weights=None) -> dict:
     subword and the wiring-diagram backends; the two must agree exactly.
     A `LabelString` equals its label tuple, so it reads the column directly.
 
-    `weights`, when given, is the tuple of images of y_1..y_rank: both
-    backends then compute directly in that torus, and the result equals the
+    `weights` is the tuple of images of y_1..y_rank, y_1..y_rank when None.
+    Only here are the torus and mu's word fixed: both backends compute in
+    that torus from that word as given, so the result equals the
     restrictions with those images substituted afterwards.
 
-    Both backends produce the whole column from the one reduced word of mu:
-    the subword DP's nonzero states, and the forward transfer of the wiring
-    diagram of the same word.  The two columns must be equal: the first
-    lambda in lex order where they differ is named otherwise."""
+    The two backends' columns are the subword DP's nonzero states and the
+    forward transfer of the word's wiring diagram.  They must be equal: the
+    first lambda in lex order where they differ is named otherwise."""
     if space.rank < 1:
         raise ValueError(f"{space} has rank 0: fixed-point restrictions need rank at least 1")
-    if weights is not None and len(weights) != space.rank:
+    if weights is None:
+        weights = tuple(y(i) for i in range(1, space.rank + 1))
+    elif len(weights) != space.rank:
         raise ValueError(f"{space} needs {space.rank} weights, got {len(weights)}")
     omega, group_type = space.omega(), space.weyl_type
     word = _word(mu, omega, group_type)
     by_subword = {
         lam: value
-        for lam, value in _subword_column(word, omega, group_type, weights).items()
+        for lam, value in _subword_column(word, omega, weights).items()
         if not value.is_zero
     }
-    wiring = diagram.build_wiring_diagram(word, group_type, space.rank, weights)
+    wiring = diagram.build_wiring_diagram(word, group_type, weights)
     by_wiring = diagram.transfer(wiring, omega)
     if by_subword != by_wiring:
         zero = Polynomial.zero()

@@ -29,7 +29,7 @@ from schubpuzzles.schubert import (
     two_step_product,
 )
 from schubpuzzles.weyl import _word, restrictions_at
-from test_tensor import as_sparse_map, boundary, half_puzzles, positive_roots, vertex_weights, zero_one_bounces
+from test_tensor import as_sparse_map, boundary, half_puzzles, positive_roots, vertex_weights, ys, zero_one_bounces
 
 parse = LabelString.parse
 
@@ -186,7 +186,7 @@ def test_criterion_9_delta_and_ten_conservation():
             for k in range(0, n + 1):
                 space = SpGr(k, n)
                 for mu in space.strings():
-                    wiring = build_wiring_diagram(_word(mu, space.omega(), "C"), "C", n)
+                    wiring = build_wiring_diagram(_word(mu, space.omega(), "C"), "C", ys(n))
                     for (out, inn) in as_sparse_map(wiring).entries:
                         assert out.count(Label.TEN) == inn.count(Label.TEN)
                         ten_checks += 1

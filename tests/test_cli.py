@@ -1,12 +1,17 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import itertools
 import json
+import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import schubpuzzles
 from schubpuzzles import cli, schubert
@@ -422,3 +427,63 @@ def test_cli_corpus_digest(capsys):
     for argv in corpus:
         digest.update(json.dumps([argv, *run(capsys, *argv)]).encode())
     assert digest.hexdigest() == "e183dc7f78797f7dcc19387cee4edf27c70f908d0d9cde2bd1db59bd9b10917c"
+
+
+def test_cli_corpus_digest_in_a_fresh_process():
+    # values must mean the same thing in any process: the corpus digest of
+    # test_cli_corpus_digest, recomputed under `python -O` (no assert
+    # statements) with another string-hash seed
+    src = str(pathlib.Path(schubpuzzles.__file__).parents[1])
+    tests = str(pathlib.Path(__file__).parent)
+    code = f"""
+import contextlib, hashlib, io, json, sys
+sys.path[:0] = [{src!r}, {tests!r}]
+from schubpuzzles.cli import main
+from test_cli import _digest_corpus
+digest = hashlib.sha256()
+for argv in _digest_corpus():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    digest.update(json.dumps([argv, status, out.getvalue(), err.getvalue()]).encode())
+print(sys.flags.optimize, digest.hexdigest())
+"""
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONHASHSEED": "12345"},
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "1 e183dc7f78797f7dcc19387cee4edf27c70f908d0d9cde2bd1db59bd9b10917c\n"
+
+
+@st.composite
+def _argv(draw):
+    """A query for any subcommand: each of its options, required or not,
+    given or left out, with sizes up to 3 and strings good or bad.  Sizes
+    tend to one value, and binary strings to that many 0s and 1s, so that
+    some queries are valid."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    sizes = st.just(draw(st.integers(-1, 3))) | st.integers(-1, 3)
+    binary = st.tuples(sizes, sizes).flatmap(
+        lambda counts: st.permutations("0" * max(counts[0], 0) + "1" * max(counts[1], 0)))
+    strings = binary.map("".join) | st.text("012", max_size=6) | st.text("01,2x", max_size=4)
+    argv = [command]
+    for flag, keywords in cli._COMMANDS[command][2]:
+        if draw(st.integers(0, 7)) < (7 if keywords.get("required") else 4):
+            values = st.sampled_from(keywords["choices"]) if "choices" in keywords else (
+                sizes.map(str) if keywords.get("type") is int else strings)
+            argv += [flag, draw(values)]
+    return argv + draw(st.sampled_from(([], ["--format", "json"], ["--verbose-labels"])))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_argv())
+def test_bad_input_exits_with_a_code_not_a_traceback(argv):
+    # every query ends in exit code 0, 1 or 2 without raising, and a
+    # successful one writes nothing to stderr
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    if code == 0:
+        assert err.getvalue() == "", argv

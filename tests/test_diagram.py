@@ -25,6 +25,7 @@ from test_tensor import (
     reference_r_same_colour,
     tensor_product,
     vertex_weights,
+    ys,
 )
 
 parse = LabelString.parse
@@ -119,7 +120,7 @@ def test_triangle_output_row_is_checked(monkeypatch):
 def test_wiring_worked_example():
     # word (2,3,1) on three strands with a wall bounce: the composite must
     # equal (Id x R(y3-y2)) o (Id x Id x K_B(-y2)) o (R(y3-y1) x Id)
-    d = build_wiring_diagram((2, 3, 1), "C", 3)
+    d = build_wiring_diagram((2, 3, 1), "C", ys(3))
     ident = identity_map(1)
     expected = compose(
         tensor_product(ident, reference_r_same_colour(y(3) - y(2))),
@@ -132,28 +133,26 @@ def test_wiring_worked_example():
 
 
 def test_wiring_edge_cases():
-    d = build_wiring_diagram((), "A", 3)
+    d = build_wiring_diagram((), "A", ys(3))
     assert not d.vertices
     for word in itertools.product((Label.ZERO, Label.TEN, Label.ONE), repeat=3):
         column = transfer(d, word)
         assert column == {word: Polynomial.integer(1)}
-    d1 = build_wiring_diagram((1,), "A", 2)
+    d1 = build_wiring_diagram((1,), "A", ys(2))
     assert count_kind(d1, "crossing") == 1
-    with pytest.raises(ValueError):
-        build_wiring_diagram((2,), "A", 2)
-    with pytest.raises(ValueError):
-        build_wiring_diagram((3,), "C", 2)
+    # the builder trusts restrictions_at for its letters, yet a letter out
+    # of range still fails to build instead of giving a wrong diagram
+    with pytest.raises(ValueError, match="only red and blue strands bounce"):
+        build_wiring_diagram((2,), "A", ys(2))
+    with pytest.raises(IndexError):
+        build_wiring_diagram((3,), "C", ys(2))
 
 
 def test_wiring_carries_weights():
     weights = (y(1), y(2), -y(2), -y(1))
     for word in ((), (1,), (2, 1, 3, 2), (1, 2, 3, 1, 2, 1)):
-        d = build_wiring_diagram(word, "A", 4, weights)
+        d = build_wiring_diagram(word, "A", weights)
         assert d.output_parameters() == list(weights)
-    with pytest.raises(ValueError, match="weights"):
-        build_wiring_diagram((1,), "A", 4, weights[:3])
-    with pytest.raises(ValueError, match="weights"):
-        build_wiring_diagram((1,), "C", 2, weights)
 
 
 def test_half_delta_entry():
@@ -271,7 +270,7 @@ def test_dump_format():
 def test_wiring_ten_count_preserved():
     # blue crossings and bounces preserve the number of 10 letters
     for word in ((1,), (2,), (1, 2, 1), (2, 1, 2), (1, 2, 1, 2)):
-        d = build_wiring_diagram(word, "C", 2)
+        d = build_wiring_diagram(word, "C", ys(2))
         for inn in itertools.product((Label.ZERO, Label.TEN, Label.ONE), repeat=2):
             for out, value in transfer(d, inn).items():
                 assert out.count(Label.TEN) == inn.count(Label.TEN)
@@ -295,9 +294,9 @@ def _oracle(diagram):
     [build_half_diagram(n) for n in (1, 2, 3)]
     + [build_triangle_diagram(n) for n in (1, 2, 3, 4)]
     + [
-        build_wiring_diagram((2, 1, 2), "A", 3),
-        build_wiring_diagram((3, 2, 3, 1, 2, 3), "C", 3),
-        build_wiring_diagram((1, 2, 1), "A", 3, (y(1) + y(2), -y(1), y(3))),
+        build_wiring_diagram((2, 1, 2), "A", ys(3)),
+        build_wiring_diagram((3, 2, 3, 1, 2, 3), "C", ys(3)),
+        build_wiring_diagram((1, 2, 1), "A", (y(1) + y(2), -y(1), y(3))),
     ],
     ids=lambda d: d.name,
 )
@@ -331,10 +330,10 @@ def test_transfer_is_pure():
 def test_wiring_names_omit_the_weights():
     # the name gives the type, the strand count and the word: formatting the
     # weights into it would cost every build for a label only reports read
-    default = build_wiring_diagram((1, 2, 1), "A", 3)
-    weighted = build_wiring_diagram((1, 2, 1), "A", 3, (y(1) + y(2), -y(1), y(3)))
+    default = build_wiring_diagram((1, 2, 1), "A", ys(3))
+    weighted = build_wiring_diagram((1, 2, 1), "A", (y(1) + y(2), -y(1), y(3)))
     assert default.name == weighted.name == "wiring(A,3,1.2.1)"
-    assert build_wiring_diagram((2, 1), "C", 2, (y(1) + y(2), -y(1))).name == "wiring(C,2,2.1)"
+    assert build_wiring_diagram((2, 1), "C", (y(1) + y(2), -y(1))).name == "wiring(C,2,2.1)"
 
 
 def test_vertex_positions_replay_the_frontier():
@@ -343,7 +342,7 @@ def test_vertex_positions_replay_the_frontier():
     for diagram in (
         build_triangle_diagram(4),
         build_half_diagram(3),
-        build_wiring_diagram((3, 2, 3, 1, 2, 3), "C", 3),
+        build_wiring_diagram((3, 2, 3, 1, 2, 3), "C", ys(3)),
         *_identity_sides("trivalent-swap"),
     ):
         live, made = list(range(diagram.n_inputs)), diagram.n_inputs
@@ -370,9 +369,9 @@ def _unit_test_diagrams():
         [build_half_diagram(n) for n in range(1, 5)]
         + [build_triangle_diagram(n) for n in range(1, 5)]
         + [
-            build_wiring_diagram((1, 2, 1), "A", 3),
-            build_wiring_diagram((2, 1, 2, 1), "C", 2),
-            build_wiring_diagram((3, 2, 3, 1, 2, 3), "C", 3, weights),
+            build_wiring_diagram((1, 2, 1), "A", ys(3)),
+            build_wiring_diagram((2, 1, 2, 1), "C", ys(2)),
+            build_wiring_diagram((3, 2, 3, 1, 2, 3), "C", weights),
         ]
     )
 
@@ -393,6 +392,6 @@ def test_degenerate_wiring_weights_are_rejected():
     # repeated weights give a crossing a zero parameter, and a zero weight
     # gives a blue bounce one: no diagram of the package has either
     with pytest.raises(ValueError, match=r"^wiring\(A,3,1\.2\.1\): zero cross parameter"):
-        build_wiring_diagram((1, 2, 1), "A", 3, (y(1), y(1), y(2)))
+        build_wiring_diagram((1, 2, 1), "A", (y(1), y(1), y(2)))
     with pytest.raises(ValueError, match=r"^wiring\(C,2,2\.1\.2\): zero bounce parameter"):
-        build_wiring_diagram((2, 1, 2), "C", 2, (y(1), Polynomial.zero()))
+        build_wiring_diagram((2, 1, 2), "C", (y(1), Polynomial.zero()))

@@ -14,7 +14,7 @@ from schubpuzzles.schubert import (
     restrict_to_spgr,
     two_step_product,
 )
-from schubpuzzles.weyl import restrictions_at
+from schubpuzzles.weyl import _word, restrictions_at
 from test_tensor import boundary, half_puzzles, positive_roots, substitute, vertex_weights, zero_one_bounces
 
 parse = LabelString.parse
@@ -339,6 +339,59 @@ def test_product_coefficients_are_positive_in_simple_roots(n, coefficients):
            if any(c < 0 or f"y{n}" in powers for c, powers in p.machine())]
     assert len(polynomials) == coefficients
     assert bad == []
+
+
+def _length(s: LabelString, space) -> int:
+    """The length of the minimal coset representative whose string is s."""
+    return len(_word(s, space.omega(), space.weyl_type))
+
+
+def _products(n: int):
+    """(lam, mu, two_step_product(lam, mu, n)) for every j <= k <= n."""
+    for j in range(n + 1):
+        for k in range(j, n + 1):
+            for lam in Gr(j, n).strings():
+                for mu in Gr(k, n).strings():
+                    yield lam, mu, two_step_product(lam, mu, n)
+
+
+def test_expansion_coefficients_are_homogeneous():
+    # every monomial of a restriction coefficient has degree l(lam) - l(nu),
+    # and of a product coefficient l(lam) + l(mu) - l(nu)
+    def degrees(coeff):
+        return {sum(powers.values()) for _, powers in coeff.machine()}
+
+    restriction = [
+        (lam, nu, degrees(coeff), _length(lam, Gr(k, 2 * n)) - _length(nu, SpGr(k, n)))
+        for n in range(1, 6)
+        for k in range(n + 1)
+        for lam in Gr(k, 2 * n).strings()
+        for nu, coeff in restrict_to_spgr(lam, k, n).terms.items()
+    ]
+    product = [
+        (lam + mu, nu, degrees(coeff),
+         _length(lam, Gr(result.space.j, n)) + _length(mu, Gr(result.space.k, n)) - _length(nu, result.space))
+        for n in range(1, 6)
+        for lam, mu, result in _products(n)
+        for nu, coeff in result.terms.items()
+    ]
+    assert (len(restriction), len(product)) == (3614, 1591)
+    assert [case for case in restriction + product if case[2] != {case[3]}] == []
+
+
+def test_product_coefficients_have_equivariant_duality():
+    # c_{lam,mu}^nu(y) = c_{mu*,lam*}^{nu*} with y_i -> -y_{n+1-i}, where *
+    # reverses a string and swaps 0 with 1; duality_check compares only the
+    # constant terms
+    checked = 0
+    for n in range(1, 6):
+        flip = {f"y{i}": -y(n + 1 - i) for i in range(1, n + 1)}
+        for lam, mu, result in _products(n):
+            dual = two_step_product(mu.dualize(), lam.dualize(), n).terms
+            flipped = {nu.dualize(): substitute(coeff, flip) for nu, coeff in result.terms.items()}
+            assert flipped == dual, (lam.compact(), mu.compact())
+            checked += len(flipped)
+    assert checked == 1591
 
 
 def test_crosscheck_product_small():

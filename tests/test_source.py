@@ -132,6 +132,19 @@ def test_one_diagram_builder():
     assert made == {("diagram.py", name, "_grow") for name in ("Edge", "Vertex", "ScatteringDiagram")}
 
 
+def test_restrictions_at_is_the_backends_only_caller():
+    # restrictions_at fixes the torus, counts the weights and builds mu's
+    # word; the two backends take all three as given, so a second caller
+    # would skip those checks
+    callers = {
+        (path.name, callee, function)
+        for path, tree in _package_trees()
+        for callee, function in _calls(tree)
+        if callee in ("build_wiring_diagram", "_subword_column")
+    }
+    assert callers == {("weyl.py", name, "restrictions_at") for name in ("build_wiring_diagram", "_subword_column")}
+
+
 def test_vertex_matrices_are_built_at_import():
     # the five vertex matrices are the only maps: a diagram's vertices share
     # them, so no function of the package builds a map

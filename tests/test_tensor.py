@@ -136,6 +136,11 @@ def reference_k_blue(a: Polynomial) -> GeneralMap:
     return GeneralMap(1, 1, entries)
 
 
+def ys(m: int) -> tuple[Polynomial, ...]:
+    """The identity torus weights y_1..y_m."""
+    return tuple(y(i) for i in range(1, m + 1))
+
+
 def substitute(p: Polynomial, images: dict) -> Polynomial:
     """The ring homomorphism that sends each variable named in `images` to
     its image (a Polynomial or int) and keeps every other variable."""

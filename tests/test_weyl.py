@@ -6,7 +6,7 @@ from schubpuzzles import diagram, weyl
 from schubpuzzles.labels import Fl, Gr, LabelString, Record, SpGr
 from schubpuzzles.poly import Polynomial, y
 from schubpuzzles.weyl import _word, restriction
-from test_tensor import substitute
+from test_tensor import substitute, ys
 
 parse = LabelString.parse
 
@@ -551,8 +551,8 @@ def test_parabolic_table_equals_full_table_on_coset_representatives():
                 coset_string(w, omega): value for w, value in full.items()
                 if not any(w.is_right_descent(i) for i in parabolic)
             }
-            args = (_word(mu, omega, group_type), omega, group_type)
-            table = weyl._subword_column(*args)
+            args = (_word(mu, omega, group_type), omega)
+            table = weyl._subword_column(*args, ys(space.rank))
             assert table == expected, (str(space), mu.compact())
             assert len(table) <= len(space.strings())
             if weighted:
@@ -572,7 +572,7 @@ def test_parabolic_generators_read_off_omega():
         identity = GroupElement.identity(group_type, space.rank)
         dropped = tuple(
             q for q in identity.generator_indices()
-            if weyl._subword_column((q,), omega, group_type) == {omega: 1}
+            if weyl._subword_column((q,), omega, ys(space.rank)) == {omega: 1}
         )
         assert dropped == parabolic_generators(space), str(space)
     assert len(spaces) == 27 + 27 + 83
@@ -609,8 +609,8 @@ def test_backend_disagreement_raises(monkeypatch):
     perturbed_state = parse("0101")
     real_column = weyl._subword_column
 
-    def perturbed_column(word, omega, group_type, weights=None):
-        table = dict(real_column(word, omega, group_type, weights))
+    def perturbed_column(word, omega, weights):
+        table = dict(real_column(word, omega, weights))
         table[perturbed_state] = table.get(perturbed_state, Polynomial.zero()) + 1
         return table
 
@@ -683,6 +683,10 @@ def test_restriction_weights_length_checked():
     for weights in ((y(1), y(2), y(3)), tuple(y(i) for i in range(1, 6))):
         with pytest.raises(ValueError, match="weights"):
             weyl.restrictions_at(space, omega, weights)
+    # restrictions_at is the one place that counts the weights: the
+    # backends take them as given
+    with pytest.raises(ValueError, match=r"^Gr\(2,4\) needs 4 weights, got 3$"):
+        weyl.restrictions_at(Gr(2, 4), parse("1010"), (y(1), y(2), y(3)))
 
 
 def test_coset_string_length_mismatch():
